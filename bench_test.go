@@ -279,6 +279,41 @@ func BenchmarkContextSwitch(b *testing.B) {
 	}
 }
 
+// BenchmarkContSwitch is the continuation counterpart of
+// BenchmarkContextSwitch: two equal-priority continuation threads
+// ping-pong through k.Yield (each iteration is two switches). Each switch
+// parks one thread and wakes the other on the execution context that is
+// already running.
+func BenchmarkContSwitch(b *testing.B) {
+	s := pthreads.New(pthreads.Config{})
+	err := s.Run(func() {
+		attr := pthreads.DefaultAttr()
+		attr.Priority = s.Self().Priority() - 1
+		pinger := func(k *pthreads.Cont) {
+			n := 0
+			var step pthreads.ContFunc
+			step = func(k *pthreads.Cont) {
+				if n < b.N {
+					n++
+					k.Yield(step)
+				}
+			}
+			step(k)
+		}
+		a, _ := s.CreateCont(attr, pinger, nil)
+		c, _ := s.CreateCont(attr, pinger, nil)
+		b.ResetTimer()
+		v0 := s.Now()
+		s.Join(a)
+		b.StopTimer()
+		reportVirtual(b, s, v0, 2*b.N)
+		s.Join(c)
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+}
+
 // BenchmarkSignalInternal is Table 2 row 10: pthread_kill to a suspended
 // thread, measured to handler entry.
 func BenchmarkSignalInternal(b *testing.B) {

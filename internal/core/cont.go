@@ -11,12 +11,12 @@ import (
 )
 
 // This file implements parked continuations: threads that release their
-// host goroutine while blocked at a declared kernel-mediated wait point
-// (fd wait, cond/timed wait, sleep, mutex, join, yield) and are
-// represented only by their TCB plus the small resume descriptor below.
-// Wakeup re-binds a pooled runner goroutine and resumes the recorded
-// wait point, so a million parked threads cost a few cache lines each
-// instead of a goroutine stack.
+// execution context (ctx.go) while blocked at a declared kernel-mediated
+// wait point (fd wait, cond/timed wait, sleep, mutex, join, yield) and
+// are represented only by their TCB plus the small resume descriptor
+// below. Wakeup binds a pooled context and resumes the recorded wait
+// point, so a million parked threads cost a few cache lines each instead
+// of a goroutine stack.
 //
 // The representation is purely host-side: every virtual charge, trace
 // event, metrics call, and queue operation a continuation thread
@@ -25,14 +25,15 @@ import (
 // representations (pinned by the lockstep tests in cont_lockstep_test.go).
 //
 // The key invariant making the rest of the library work unchanged:
-// while a continuation thread is bound to a runner, the runner IS its
-// goroutine. Inline blocking inside a step — a contended Lock, a Dial
-// handshake, a preemption, a cleanup handler — parks the runner through
-// the ordinary resume-channel path and resumes on it. Only the single
-// declared operation of a step releases the runner back to the pool.
+// while a continuation thread is bound to a context, that context is its
+// execution context exactly as for a goroutine-backed thread. Inline
+// blocking inside a step — a contended Lock, a Dial handshake, a
+// preemption, a cleanup handler — parks the context through the
+// ordinary contextSwitch path and resumes on it. Only the single
+// declared operation of a step releases the context back to the pool.
 
 // ContFunc is one step of a continuation thread. A step runs to
-// completion on a runner goroutine; it may perform any library call
+// completion on an execution context; it may perform any library call
 // inline, and may declare at most one blocking operation (k.Read is in
 // the jacket layer; k.Sleep, k.CondWait, ... below), which must be the
 // last action of the step. The declared operation's continuation runs
@@ -61,8 +62,8 @@ type Cont struct {
 	s *System
 	t *Thread
 
-	first  bool // next dispatch is the thread's first (trampoline prologue)
-	parked bool // currently parked without a goroutine
+	first  bool // next dispatch is the thread's first (runThread's prologue)
+	parked bool // currently parked without an execution context
 
 	next ContFunc // continuation recorded by the pending op (or next step)
 
@@ -162,126 +163,9 @@ func (k *Cont) FDOp(fd unixkern.FD, dir FDDir, what string, timeout vtime.Durati
 	k.declare(contOpFD, then)
 }
 
-// contRunner is one pooled runner goroutine. While bound, it is the
-// thread's execution context; unbound runners sit on the idle list
-// waiting for the next wakeup.
-type contRunner struct {
-	resume chan resumeMsg
-	t      *Thread // bound thread; nil while idle (kernel-context access only)
-}
-
-// runnerIdleMax bounds the idle-runner pool; excess runners are killed
-// on release instead of pooled.
-const runnerIdleMax = 16
-
-// bindRunner attaches a runner goroutine to a continuation thread about
-// to be dispatched. Runs in kernel context (single-threaded), so the
-// pool needs no lock.
-func (s *System) bindRunner(t *Thread) {
-	var r *contRunner
-	if n := len(s.runnerIdle); n > 0 {
-		r = s.runnerIdle[n-1]
-		s.runnerIdle[n-1] = nil
-		s.runnerIdle = s.runnerIdle[:n-1]
-	} else {
-		r = &contRunner{resume: make(chan resumeMsg, 1)}
-		s.runnerLive++
-		if s.runnerLive > s.runnerPeak {
-			s.runnerPeak = s.runnerLive
-		}
-		go s.runnerLoop(r)
-	}
-	r.t = t
-	t.runner = r
-	s.stats.RunnerBinds++
-	if k := t.cont; k.parked {
-		k.parked = false
-		s.stats.ContParked--
-	}
-}
-
-// releaseRunner detaches a thread's runner, pooling or killing it. Runs
-// in kernel context. The released runner's goroutine may still be
-// unwinding toward its select loop — any message sent to it (a rebind's
-// resume, or the kill here) waits in its 1-buffered channel.
-func (s *System) releaseRunner(t *Thread) {
-	r := t.runner
-	t.runner = nil
-	r.t = nil
-	if len(s.runnerIdle) < runnerIdleMax {
-		s.runnerIdle = append(s.runnerIdle, r)
-		return
-	}
-	s.runnerLive--
-	select {
-	case r.resume <- resumeMsg{kill: true}:
-	default:
-	}
-}
-
-// runnerLoop is the body of one runner goroutine: wait for a resume (a
-// bind's wakeup), run the bound thread until it parks, exits, or the
-// system finishes.
-func (s *System) runnerLoop(r *contRunner) {
-	for {
-		select {
-		case msg := <-r.resume:
-			if msg.kill {
-				return
-			}
-			if !s.runnerStep(r) {
-				return
-			}
-		case <-s.doneCh:
-			return
-		}
-	}
-}
-
-// runnerStep resumes the bound thread. It returns false when the runner
-// must die (system shutdown). Mirrors the trampoline's recover contract:
-// killPanic tears the runner down silently; any other escaped panic is a
-// crash of the simulated process.
-func (s *System) runnerStep(r *contRunner) (ok bool) {
-	t := r.t
-	completed := false
-	defer func() {
-		rec := recover()
-		switch {
-		case rec == nil && completed:
-			ok = true
-		case rec == nil:
-			s.finish(fmt.Errorf("%v: goroutine exited prematurely (runtime.Goexit, e.g. t.Fatal in thread code)", t), nil)
-		default:
-			if _, kill := rec.(killPanic); kill {
-				return
-			}
-			s.finish(fmt.Errorf("panic in %v: %v", t, rec), nil)
-		}
-	}()
-
-	// Mirror of park()'s post-receive mask restore.
-	if s.maskedForSwitch {
-		s.maskedForSwitch = false
-		s.proc.RestoreMask(s.preSwitchMask)
-	}
-	s.contResume(t.cont)
-	completed = true
-	return
-}
-
-// contResume runs the thread until it parks or finishes; a finished
-// thread exits through the ordinary termination path.
-func (s *System) contResume(k *Cont) {
-	status, exited := s.contBody(k)
-	if exited {
-		s.exitCurrent(status)
-	}
-}
-
-// contBody is the continuation analogue of trampoline+callBody: run the
-// kernel-exit tail owed from the dispatch that resumed us, then drive
-// steps; convert Exit unwinding into a return value.
+// contBody is the continuation analogue of callBody: run the kernel-exit
+// tail owed from the dispatch that resumed us, then drive steps; convert
+// Exit unwinding into a return value.
 func (s *System) contBody(k *Cont) (status any, exited bool) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -293,8 +177,9 @@ func (s *System) contBody(k *Cont) (status any, exited bool) {
 		}
 	}()
 	if k.first {
-		// First dispatch: the trampoline prologue (no poll — the
-		// dispatching context already ran leaveKernel's tail).
+		// First dispatch: the prologue runThread gives a goroutine-backed
+		// thread (no poll — the dispatching context already ran
+		// leaveKernel's tail).
 		k.first = false
 		s.drainFakeCalls()
 		s.armSliceOnUserReturn()
@@ -336,8 +221,9 @@ func (s *System) contSteps(k *Cont) (parked bool) {
 // contDrive dispatches to the declared operation's driver. Each driver
 // is a phase-numbered transcription of its goroutine original with
 // identical virtual charges, traces, and metrics ordering; it returns
-// true when the thread parked (the runner is already released and the
-// baton sent — the caller must unwind without touching k or its thread).
+// true when the thread parked (its context is already released and the
+// baton passed — the caller must unwind without touching k or its
+// thread).
 func (s *System) contDrive(k *Cont) (parked bool) {
 	switch k.op {
 	case contOpFD:
@@ -371,9 +257,9 @@ func (s *System) contBlock(k *Cont, reason BlockReason, what string) bool {
 }
 
 // contLeave is the continuation analogue of leaveKernel at a declared
-// park point: run the dispatcher in handoff mode, then either send the
-// baton to the selected thread (parked — the calling runner is already
-// released and must unwind without touching shared state), or, if the
+// park point: run the dispatcher in handoff mode, which on a switch
+// parks the thread and releases its context (the caller must then unwind
+// to the context loop without touching shared state), or, if the
 // dispatcher reselected this thread without a switch, run leaveKernel's
 // tail and continue inline.
 func (s *System) contLeave(t *Thread) (parked bool) {
@@ -386,11 +272,7 @@ func (s *System) contLeave(t *Thread) (parked bool) {
 	s.contHandoff = true
 	s.dispatch()
 	s.contHandoff = false
-	if next := s.contBaton; next != nil {
-		// All reads of the parked thread are done; the baton send is the
-		// last action before the unwind.
-		s.contBaton = nil
-		next.resumeCh() <- resumeMsg{}
+	if t.ctx == nil {
 		return true
 	}
 	// Reselected: this thread was made ready again during the dispatch
@@ -484,7 +366,7 @@ func (s *System) contDriveLock(k *Cont) bool {
 			return false
 		}
 		if m.eng != nil {
-			// Engine mutexes spin with yields; the runner stays bound.
+			// Engine mutexes spin with yields; the context stays bound.
 			s.engineLock(m)
 			return false
 		}
@@ -775,7 +657,7 @@ func (s *System) contFDWake(k *Cont) (retry bool) {
 // (pthread_create for the parked-continuation representation). The
 // validation, charges, traces, and activation are identical to Create's,
 // so the two representations schedule bit-identically; only the host
-// backing differs — no goroutine is created until first dispatch, and
+// backing differs — no context is bound until first dispatch, and
 // none is held across declared parks.
 func (s *System) CreateCont(attr Attr, fn ContFunc, arg any) (*Thread, error) {
 	if fn == nil {

@@ -32,7 +32,6 @@ func (s *System) Create(attr Attr, fn func(arg any) any, arg any) (*Thread, erro
 
 	s.enterKernel()
 	t := s.allocTCB(attr)
-	s.ensureResume(t)
 	t.fn = fn
 	t.arg = arg
 	s.addThread(t)

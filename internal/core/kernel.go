@@ -249,7 +249,8 @@ func (s *System) selectNext() *Thread {
 // register windows (kernel trap), load the new thread's frame (window
 // underflow trap on its first restore), swap errno, transfer control.
 // Called with both flags already clear. Returns when the *calling* thread
-// is dispatched again — or never, if the caller terminated.
+// is dispatched again, or at once if the caller terminated or parked as
+// a continuation (it then unwinds to its context loop).
 func (s *System) contextSwitch(next *Thread) {
 	prev := s.current
 	s.stats.ContextSwitches++
@@ -258,7 +259,7 @@ func (s *System) contextSwitch(next *Thread) {
 	// handler: the handler frame stays pending on its stack, so all
 	// signals must be disabled across the switch to bound stack growth
 	// — the second sigsetmask of the per-signal budget. The resumed
-	// side re-enables in park.
+	// side re-enables in restoreSwitchMask.
 	if s.inUniversal > 0 && !s.maskedForSwitch {
 		if !s.universalCharged {
 			s.universalCharged = true
@@ -283,61 +284,36 @@ func (s *System) contextSwitch(next *Thread) {
 	// quantum is armed when it reaches user code.
 	s.cancelSliceTimer()
 
-	// A terminated or handoff-parking continuation thread releases its
-	// runner before the incoming thread is bound, so a wakeup can reuse
-	// it immediately (the released runner's goroutine is still unwinding;
-	// a rebind's resume waits in its buffered channel).
-	exiting := prev.state == StateTerminated
-	handoff := s.contHandoff && !exiting
-	if exiting && prev.runner != nil {
-		s.releaseRunner(prev)
-	}
-	if handoff {
+	// A terminating thread, or a continuation thread parking at a
+	// declared wait point, releases its context before the incoming
+	// thread binds one, so the incoming thread can take over the very
+	// context that is running now and continue with no host switch.
+	leaving := prev.state == StateTerminated
+	if s.contHandoff && !leaving {
 		prev.cont.parked = true
 		s.stats.ContParked++
-		s.releaseRunner(prev)
+		leaving = true
 	}
-
-	if next.cont != nil {
-		if next.runner == nil {
-			s.bindRunner(next)
-		}
-	} else if !next.started {
-		next.started = true
-		go s.trampoline(next)
+	if leaving {
+		s.releaseCtx(prev)
 	}
-
-	if handoff {
-		// contLeave sends the baton itself, after its last read of the
-		// parked thread; record the selected thread for it.
-		s.contBaton = next
-		return
+	if next.ctx == nil {
+		s.bindCtx(next)
 	}
-
-	// Everything after the send may run concurrently with the new
-	// thread, so the exit decision is taken first: a terminated caller
-	// returns (its goroutine unwinds), everyone else parks. A system
-	// shutdown that lands in this window is delivered through the park
-	// channel as a kill message.
-	next.resumeCh() <- resumeMsg{}
-	if exiting {
+	s.baton = next.ctx
+	if leaving {
+		// The caller unwinds to its context loop, which serves whichever
+		// thread is bound to the context next.
 		return
 	}
 	s.park(prev)
 }
 
-// park blocks the thread's execution context until it is dispatched
-// again. For a continuation thread blocking inline mid-step, that
-// context is the bound runner's goroutine.
-func (s *System) park(t *Thread) {
-	msg := <-t.resumeCh()
-	if msg.kill {
-		panic(killPanic{})
-	}
+// restoreSwitchMask re-enables the signals a switch out of a universal
+// handler disabled, on the context that resumes (sigreturn-style, no
+// extra system call).
+func (s *System) restoreSwitchMask() {
 	if s.maskedForSwitch {
-		// Signals were disabled across the switch out of a universal
-		// handler; the resumed context re-enables them (sigreturn-style,
-		// no extra system call).
 		s.maskedForSwitch = false
 		s.proc.RestoreMask(s.preSwitchMask)
 	}

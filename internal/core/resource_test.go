@@ -103,8 +103,8 @@ func TestLazyContThreadDefersStack(t *testing.T) {
 
 func TestChurnLeaksNoGoroutines(t *testing.T) {
 	// 10k create/join churn must return the host to its baseline
-	// goroutine count: pooled TCB reuse may not keep dead threads'
-	// resume channels (or anything parked on them) alive.
+	// goroutine count: every execution context, bound or idle, ends
+	// before Run returns.
 	before := runtime.NumGoroutine()
 	for _, cont := range []bool{false, true} {
 		s := New(Config{})
@@ -132,7 +132,7 @@ func TestChurnLeaksNoGoroutines(t *testing.T) {
 			t.Fatalf("Run(cont=%v): %v", cont, err)
 		}
 	}
-	// Give runners and trampolines a moment to drain after doneCh.
+	// Give the ended coroutines a moment to be reaped.
 	deadline := time.Now().Add(5 * time.Second)
 	for runtime.NumGoroutine() > before+2 && time.Now().Before(deadline) {
 		runtime.Gosched()
@@ -143,36 +143,35 @@ func TestChurnLeaksNoGoroutines(t *testing.T) {
 	}
 }
 
-func TestPoolReusesResumeChannel(t *testing.T) {
-	// The replacement pool TCB inherits the reclaimed thread's channel
-	// rather than allocating a fresh one per churn round.
+func TestCreateReusesExecutionContext(t *testing.T) {
+	// A thread that exits hands its execution context to the idle pool,
+	// and the next thread dispatched takes that same context instead of
+	// creating another coroutine per churn round.
 	s := New(Config{})
 	err := s.Run(func() {
 		attr := DefaultAttr()
 		attr.Priority = s.Self().Priority() + 1
-		th, _ := s.Create(attr, func(any) any { return nil }, nil)
-		ch := th.resume
+		var first, second *execCtx
+		th, _ := s.Create(attr, func(any) any { first = s.Self().ctx; return nil }, nil)
 		s.Join(th)
-		if ch == nil {
-			t.Fatal("thread had no resume channel")
+		if first == nil || th.ctx != nil {
+			t.Fatalf("thread ran on %p, holds %p after exit", first, th.ctx)
 		}
-		if th.resume != nil {
-			t.Errorf("dead TCB still holds its resume channel")
-		}
-		if n := len(s.pool); n == 0 {
-			t.Skip("pool empty (config change?)")
-		}
-		if got := s.pool[len(s.pool)-1].tcb.resume; got != ch {
-			t.Errorf("replacement pool TCB did not inherit the reclaimed channel")
-		}
-		th2, _ := s.Create(attr, func(any) any { return nil }, nil)
-		if th2.resume != ch {
-			t.Errorf("next pooled thread did not reuse the recycled channel")
-		}
+		live := s.Stats().RunnerLive
+		th2, _ := s.Create(attr, func(any) any { second = s.Self().ctx; return nil }, nil)
 		s.Join(th2)
+		if second != first {
+			t.Errorf("next thread ran on a new context, not the released one")
+		}
+		if got := s.Stats().RunnerLive; got != live {
+			t.Errorf("live contexts %d -> %d across one churn round", live, got)
+		}
 	})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
+	}
+	if st := s.Stats(); st.RunnerLive != 0 {
+		t.Errorf("%d contexts still live after Run returned", st.RunnerLive)
 	}
 }
 

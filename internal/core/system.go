@@ -125,13 +125,14 @@ type Stats struct {
 	FDBlockedNS    int64 // total virtual time threads spent blocked on fds
 	FDMaxWaitDepth int64 // peak depth of any single fd wait queue
 
-	// Parked-continuation counters (host-side representation only — no
-	// virtual cost attaches to any of them; see cont.go). Lockstep tests
-	// comparing the two representations zero these before comparing.
+	// Parked-continuation and execution-context counters (host-side
+	// representation only — no virtual cost attaches to any of them; see
+	// cont.go and ctx.go). Lockstep tests comparing the two
+	// representations zero these before comparing.
 	ContThreads    int64 // continuation threads created
-	ContParked     int64 // gauge: cont threads currently holding no goroutine
-	RunnerBinds    int64 // wakeups served by binding a pooled runner
-	RunnerLive     int64 // gauge: runner goroutines alive (bound + idle)
+	ContParked     int64 // gauge: cont threads currently holding no context
+	RunnerBinds    int64 // cont-thread dispatches that bound an execution context
+	RunnerLive     int64 // gauge: execution contexts alive (bound + idle)
 	RunnerPeak     int64 // high-water mark of RunnerLive
 	ArenaChunks    int64 // chunks carved by the TCB and cont-frame arenas
 	ArenaSlotBytes int64 // host bytes per TCB arena slot
@@ -195,16 +196,16 @@ type System struct {
 	// traced I/O workload formats each label once instead of per event.
 	fdNames map[fdKey]string
 
-	// Parked-continuation machinery (see cont.go). contHandoff marks a
-	// contLeave-driven dispatch: contextSwitch records the selected
-	// thread in contBaton and returns without sending, so contLeave can
-	// send the baton itself after its last read of the parked thread.
-	// The runner pool is kernel-context state: no lock needed.
-	contHandoff bool
-	contBaton   *Thread
-	runnerIdle  []*contRunner
-	runnerLive  int64
+	// Execution contexts (see ctx.go): baton is the context the driver
+	// resumes next; ctxAll holds every live context and ctxIdle the
+	// unbound ones. contHandoff marks a contLeave-driven dispatch, in
+	// which the switch parks the outgoing continuation thread and
+	// releases its context (see cont.go).
+	baton       *execCtx
+	ctxAll      []*execCtx
+	ctxIdle     []*execCtx
 	runnerPeak  int64
+	contHandoff bool
 
 	// Arena-backed kernel records: TCBs are carved and never returned
 	// (a reclaimed handle must keep reporting ESRCH, so dead TCBs are
@@ -302,6 +303,7 @@ func New(cfg Config) *System {
 		spans:   cfg.Spans,
 		prng:    rand.New(rand.NewSource(cfg.Seed)),
 		doneCh:  make(chan struct{}),
+		ctxIdle: make([]*execCtx, 0, ctxIdleMax),
 	}
 	s.atoms = hw.NewAtomics(s.cpu)
 	s.tcbArena = arena.New[Thread](0)
@@ -327,7 +329,7 @@ func New(cfg Config) *System {
 	if !cfg.DisablePool {
 		for i := 0; i < cfg.PoolSize; i++ {
 			s.pool = append(s.pool, &poolEntry{
-				tcb:   s.newPooledTCB(make(chan resumeMsg, 1)),
+				tcb:   s.newPooledTCB(),
 				stack: hw.NewStack(cfg.DefaultStackSize),
 			})
 		}
@@ -335,13 +337,10 @@ func New(cfg Config) *System {
 	return s
 }
 
-// newPooledTCB carves a pool TCB from the arena, reusing the given
-// resume channel (fresh at initialization, recycled from the reclaimed
-// predecessor on pool refill).
-func (s *System) newPooledTCB(resume chan resumeMsg) *Thread {
+// newPooledTCB carves a pool TCB from the arena.
+func (s *System) newPooledTCB() *Thread {
 	t := s.tcbArena.Get()
 	t.sys = s
-	t.resume = resume
 	t.pooled = true
 	return t
 }
@@ -377,14 +376,6 @@ func (s *System) dropThread(t *Thread) {
 	}
 }
 
-// ensureResume gives a goroutine-backed thread its park channel. Called
-// on the create/run path only — continuation threads park without one.
-func (s *System) ensureResume(t *Thread) {
-	if t.resume == nil {
-		t.resume = make(chan resumeMsg, 1)
-	}
-}
-
 // ensureStack materializes a lazily deferred host stack at the thread's
 // first activation (or first fake-call push, whichever comes first).
 func (s *System) ensureStack(t *Thread) {
@@ -414,7 +405,7 @@ func (s *System) Stats() Stats {
 	st := s.stats
 	qs := s.ready.Stats()
 	st.ReadyMaxDepth, st.ReadyWraps, st.ReadyGrows = qs.MaxDepth, qs.Wraps, qs.Grows
-	st.RunnerLive, st.RunnerPeak = s.runnerLive, s.runnerPeak
+	st.RunnerLive, st.RunnerPeak = int64(len(s.ctxAll)), s.runnerPeak
 	ta, ca := s.tcbArena.Stats(), s.contArena.Stats()
 	st.ArenaChunks = int64(ta.Chunks + ca.Chunks)
 	st.ArenaSlotBytes = ta.SlotBytes
@@ -429,7 +420,7 @@ type exitPanic struct {
 	status any
 }
 
-// killPanic tears down a thread goroutine at system shutdown.
+// killPanic unwinds a thread whose process is ending.
 type killPanic struct{}
 
 // Canceled is the status a cancelled thread exits with
@@ -465,18 +456,15 @@ func (s *System) Run(main func()) error {
 	s.trace(EvState, t, "running", "")
 	s.mState(t)
 
-	s.ensureResume(t)
-	t.started = true
-	go s.trampoline(t)
-	t.resume <- resumeMsg{}
-
+	s.bindCtx(t)
+	s.baton = t.ctx
+	go s.drive()
 	<-s.doneCh
 	return s.finishErr
 }
 
-// finish ends the simulation: records the outcome, releases every parked
-// thread goroutine, and unblocks Run. Safe to call once; later calls are
-// ignored (first outcome wins).
+// finish records the outcome of the simulation; the driver then tears
+// down the execution contexts and unblocks Run. The first outcome wins.
 func (s *System) finish(err error, status any) {
 	if s.finished {
 		return
@@ -484,40 +472,16 @@ func (s *System) finish(err error, status any) {
 	s.finished = true
 	s.finishErr = err
 	s.exitStatus = status
-	for _, t := range s.all {
-		if t == nil || t == s.current || t.state == StateTerminated {
-			continue
-		}
-		if t.cont != nil {
-			// A bound runner is killed through its own channel; a parked
-			// continuation has no goroutine to release, and idle runners
-			// die on doneCh below.
-			if r := t.runner; r != nil {
-				select {
-				case r.resume <- resumeMsg{kill: true}:
-				default:
-				}
-			}
-			continue
-		}
-		if t.started {
-			select {
-			case t.resume <- resumeMsg{kill: true}:
-			default:
-			}
-		}
-	}
-	close(s.doneCh)
 }
 
 // ExitStatus returns the value passed to Shutdown/exit, if any.
 func (s *System) ExitStatus() any { return s.exitStatus }
 
 // Stop ends the simulation from outside thread context (e.g. a fabric
-// coordinator tearing down a fleet). It records err as the outcome and
-// releases every parked thread goroutine; threads currently blocked in
-// a governed clock advance are unwound by their governor. Unlike
-// Shutdown it returns normally and is a no-op once finished.
+// coordinator tearing down a fleet). It records err as the outcome; the
+// thread currently blocked in a governed clock advance is unwound by its
+// governor, after which the driver tears the remaining contexts down.
+// Unlike Shutdown it returns normally and is a no-op once finished.
 func (s *System) Stop(err error) {
 	s.finish(err, nil)
 }
@@ -527,39 +491,6 @@ func (s *System) Stop(err error) {
 func (s *System) Shutdown(status any) {
 	s.finish(nil, status)
 	panic(killPanic{})
-}
-
-// trampoline is the goroutine body backing one thread.
-func (s *System) trampoline(t *Thread) {
-	completed := false
-	defer func() {
-		r := recover()
-		switch {
-		case r == nil && completed:
-			return
-		case r == nil:
-			// runtime.Goexit (e.g. t.FailNow called from a thread
-			// body): the goroutine is unwinding without a panic. The
-			// whole system would hang waiting for this thread, so end
-			// the process with a diagnosis instead.
-			s.finish(fmt.Errorf("%v: goroutine exited prematurely (runtime.Goexit, e.g. t.Fatal in thread code)", t), nil)
-		default:
-			if _, ok := r.(killPanic); ok {
-				return // system shutdown
-			}
-			// A user panic escaped the thread body: fatal, like an
-			// unhandled fault crashing the process.
-			s.finish(fmt.Errorf("panic in %v: %v", t, r), nil)
-		}
-	}()
-
-	s.park(t)
-	s.drainFakeCalls()
-	s.armSliceOnUserReturn()
-
-	status := s.callBody(t)
-	s.exitCurrent(status)
-	completed = true
 }
 
 // callBody runs the thread function, converting Exit unwinding into a
@@ -587,7 +518,7 @@ func (s *System) Exit(status any) {
 
 // exitCurrent finalizes the current thread: cleanup handlers, TSD
 // destructors, then kernel-side termination and a final dispatch. Runs on
-// the dying thread's goroutine and returns to the trampoline, ending it.
+// the dying thread's context and returns to runThread.
 func (s *System) exitCurrent(status any) {
 	t := s.current
 
@@ -632,7 +563,7 @@ func (s *System) exitCurrent(status any) {
 	}
 
 	// Final dispatch: the dying thread hands the processor over and its
-	// goroutine ends.
+	// context is released.
 	s.dispatcherFlag = true
 	s.dispatch()
 }
@@ -663,34 +594,20 @@ func (s *System) reclaim(t *Thread) {
 	if t.pooled && !s.cfg.DisablePool && t.stack != nil {
 		stk := t.stack
 		stk.Reset()
-		// Reuse the dead TCB's resume channel for the replacement pool
-		// TCB: channels are the one per-thread allocation the arena
-		// cannot recycle. A baton buffered for a thread that died before
-		// consuming it must not leak into the successor.
-		resume := t.resume
-		if resume == nil {
-			resume = make(chan resumeMsg, 1)
-		} else {
-			select {
-			case <-resume:
-			default:
-			}
-		}
 		s.pool = append(s.pool, &poolEntry{
-			tcb:   s.newPooledTCB(resume),
+			tcb:   s.newPooledTCB(),
 			stack: stk,
 		})
 	}
 	// Drop every reference the dead TCB could pin: the handle itself stays
 	// valid (checkThread reports ESRCH) but must not keep thread bodies,
-	// sync objects, or signal payloads reachable. The runner field is left
-	// alone — a detached continuation thread is reclaimed before its final
-	// context switch releases the runner.
+	// sync objects, or signal payloads reachable. The ctx field is left
+	// alone — a detached thread is reclaimed before its final context
+	// switch releases its context.
 	if t.cont != nil {
 		s.contArena.Put(t.cont)
 		t.cont = nil
 	}
-	t.resume = nil
 	t.stack = nil
 	t.tsd = nil
 	t.fn = nil
@@ -732,11 +649,9 @@ func (s *System) allocTCB(attr Attr) *Thread {
 		s.cpu.ChargeHeapAlloc()
 		t = s.tcbArena.Get()
 		t.sys = s
-		// No resume channel yet: continuation threads never need one of
-		// their own, and goroutine threads get theirs from ensureResume on
-		// the create/run path. Lazily created threads also defer the host
-		// stack to first activation (ensureStack) — a thread that never
-		// runs costs only its TCB.
+		// Lazily created threads defer the host stack to first
+		// activation (ensureStack) — a thread that never runs costs only
+		// its TCB.
 		if !attr.Lazy {
 			stack = hw.NewStack(size)
 		}

@@ -37,16 +37,16 @@ type C1MPoint struct {
 	DrainHostMS      float64 `json:"drain_host_ms"`
 }
 
-// c1mRunnerBudget bounds the pooled-runner peak while a population
+// c1mRunnerBudget bounds the execution-context peak while a population
 // parks and drains: the whole point of the representation is that the
-// goroutine cost is O(runners), not O(threads).
+// goroutine cost is O(pooled contexts), not O(threads).
 const c1mRunnerBudget = 8
 
 // RunC1M parks n continuation threads in a condition wait, measures
 // the resident footprint, then broadcasts and joins them all. It
 // fails (rather than reporting) when a resource invariant breaks:
-// a parked thread holding a goroutine, or the runner pool scaling
-// with the population.
+// a parked thread holding an execution context, or the context pool
+// scaling with the population.
 func RunC1M(n int) (C1MPoint, error) {
 	if n < 1 {
 		n = 1
@@ -154,8 +154,9 @@ func FormatC1M(pt C1MPoint) string {
 	b.WriteString("C1M resident footprint: parked continuation threads\n")
 	b.WriteString("(each resident thread is a TCB + continuation frame + simulated\n")
 	b.WriteString(" stack + wait-queue slot; no goroutine. bytes/resident is host\n")
-	b.WriteString(" heap across the parked population, runners is the pooled\n")
-	b.WriteString(" goroutine peak, goroutines the host delta while parked.)\n")
+	b.WriteString(" heap across the parked population, runner peak the peak of\n")
+	b.WriteString(" live execution contexts, main's included, goroutines the host\n")
+	b.WriteString(" delta while parked.)\n")
 	fmt.Fprintf(&b, "  threads            %12d\n", pt.Threads)
 	fmt.Fprintf(&b, "  parked             %12d\n", pt.ContParked)
 	fmt.Fprintf(&b, "  bytes/resident     %12.1f\n", pt.BytesPerResident)

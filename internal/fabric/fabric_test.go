@@ -2,8 +2,10 @@ package fabric
 
 import (
 	"errors"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"pthreads/internal/core"
 	"pthreads/internal/vtime"
@@ -170,6 +172,59 @@ func TestDrainTearsDownServer(t *testing.T) {
 	}
 	if *got != 256 {
 		t.Fatalf("echoed %d bytes, want 256", *got)
+	}
+}
+
+func TestKillAllLeaksNoContext(t *testing.T) {
+	// The drain kills the server while it holds execution contexts in
+	// every state: bound to a blocked goroutine-backed thread, idle in
+	// the pool, and none for a parked continuation thread. Every host's
+	// Run must return with its contexts and driver gone.
+	before := runtime.NumGoroutine()
+	f, _ := echoFleet(t, func(c *Config) {
+		body := c.Hosts[0].Body
+		c.Hosts[0].Body = func(h *Host) error {
+			if err := body(h); err != nil {
+				return err
+			}
+			s := h.Sys
+			m := s.MustMutex(core.MutexAttr{Name: "never"})
+			cv := s.NewCond("never")
+			attr := core.DefaultAttr()
+			attr.Priority = s.Self().Priority() + 1
+			s.Create(attr, func(any) any {
+				m.Lock()
+				cv.Wait(m)
+				return nil
+			}, nil)
+			s.CreateCont(attr, func(k *core.Cont) {
+				k.Lock(m, func(k *core.Cont) { k.CondWait(cv, m, func(*core.Cont) {}) })
+			}, nil)
+			attr.Priority = s.Self().Priority() - 1
+			th, _ := s.Create(attr, func(any) any { return nil }, nil)
+			s.Join(th)
+			l, err := h.IO.Listen("echo2", 1)
+			if err != nil {
+				return err
+			}
+			_, err = l.Accept()
+			return err
+		}
+	})
+	if err := f.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	for _, name := range []string{"srv", "cli"} {
+		if n := f.Host(name).Sys.Stats().RunnerLive; n != 0 {
+			t.Errorf("host %s: %d contexts live after the fleet ended", name, n)
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("goroutines leaked: before %d, after %d", before, after)
 	}
 }
 

@@ -70,6 +70,17 @@ func TestFullSigsetExcludesKillStop(t *testing.T) {
 	if !f.Has(SIGHUP) || !f.Has(SIGCANCEL) {
 		t.Fatal("FullSigset missing maskable signals")
 	}
+	// The constant must be exactly the set the signal table implies: every
+	// slot 1..NSIGAll-1 but the two unmaskable ones, and nothing beyond.
+	var want Sigset
+	for sig := Signal(1); sig < NSIGAll; sig++ {
+		if sig != SIGKILL && sig != SIGSTOP {
+			want = want.Add(sig)
+		}
+	}
+	if f != want {
+		t.Fatalf("FullSigset = %#x, want %#x", uint64(f), uint64(want))
+	}
 }
 
 func TestGetpidChargesSyscall(t *testing.T) {

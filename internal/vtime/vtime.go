@@ -220,9 +220,9 @@ type Clock struct {
 	// allocates nothing and a cancel-heavy storm cannot accumulate
 	// tombstones. The list needs no lock: the clock is only ever touched
 	// by the single running thread (uniprocessor discipline).
-	free     *timerEntry
-	freeLen  int
-	liveLen  int
+	free    *timerEntry
+	freeLen int
+	liveLen int
 }
 
 // NewClock returns a clock at time zero with no timers armed.
@@ -538,13 +538,26 @@ func (c *Clock) NextExpiry() (Time, bool) {
 	return min, true
 }
 
+// noneDue reports, without touching the wheel, that no armed timer can
+// be due: none is armed, or the memoized earliest expiry lies ahead.
+// The anchor may then keep trailing now; the next fixup catches it up.
+func (c *Clock) noneDue() bool {
+	return c.npending == 0 || (c.cachedOK && c.cachedNext > c.now)
+}
+
 // PopDue removes and returns the earliest timer whose expiry is at or
 // before the current time. Events at the same instant pop in the order
 // they were scheduled.
 func (c *Clock) PopDue() (Event, bool) {
+	if c.noneDue() {
+		return Event{}, false
+	}
 	c.fixup()
 	e := c.due.head
 	if e == nil {
+		// Memoize the earliest expiry, so that the polls that follow
+		// take the early-out until it comes due or is cancelled.
+		c.NextExpiry()
 		return Event{}, false
 	}
 	c.due.remove(e)
@@ -567,6 +580,9 @@ func (c *Clock) PopDue() (Event, bool) {
 // in-flight announcement with the next event (the kernel's batched
 // SIGIO path) use it to look one event ahead.
 func (c *Clock) PeekDue() (Event, bool) {
+	if c.noneDue() {
+		return Event{}, false
+	}
 	c.fixup()
 	e := c.due.head
 	if e == nil {

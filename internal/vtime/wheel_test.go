@@ -191,3 +191,72 @@ func TestWheelFarFutureAndInfinity(t *testing.T) {
 		t.Fatalf("NextExpiry = %v, %v; want Infinity", at, ok)
 	}
 }
+
+// TestWheelEarlyOutMatchesHeap drives PopDue and PeekDue through their
+// early-out (nothing armed, or the memoized earliest expiry still ahead)
+// between small advances, arms that land before the memo (including
+// already-overdue ones), and cancels of the memoized earliest timer. The
+// wheel must report exactly what the heap reference does, in (at, seq)
+// order, whether the early-out answers or the full fixup does.
+func TestWheelEarlyOutMatchesHeap(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		c := NewClock()
+		r := newRefClock()
+		var live []TimerID
+		arm := func(at Time, round int) {
+			id, rid := c.ScheduleAt(at, round), r.ScheduleAt(at, round)
+			if id != rid {
+				t.Fatalf("seed %d round %d: wheel id %d != heap id %d", seed, round, id, rid)
+			}
+			live = append(live, id)
+		}
+		for round := 0; round < 4000; round++ {
+			switch rng.Intn(7) {
+			case 0: // arm ahead, across several levels
+				arm(c.Now().Add(Duration(rng.Int63n(1<<uint(rng.Intn(24))))), round)
+			case 1: // arm at or behind now: due at once, below any memo
+				arm(c.Now()-Time(rng.Int63n(64)), round)
+			case 2: // cancel, often the memoized earliest timer
+				if len(live) == 0 {
+					continue
+				}
+				id := live[rng.Intn(len(live))]
+				if at, ok := r.NextExpiry(); ok && rng.Intn(2) == 0 {
+					id = 0
+					for _, e := range r.entries {
+						if e.at == at && (id == 0 || e.id < id) {
+							id = e.id
+						}
+					}
+				}
+				if got, want := c.Cancel(id), r.Cancel(id); got != want {
+					t.Fatalf("seed %d round %d: Cancel(%d) wheel=%v heap=%v", seed, round, id, got, want)
+				}
+			case 3: // refresh the memo
+				at, ok := c.NextExpiry()
+				rat, rok := r.NextExpiry()
+				if ok != rok || (ok && at != rat) {
+					t.Fatalf("seed %d round %d: NextExpiry wheel=(%v,%v) heap=(%v,%v)", seed, round, at, ok, rat, rok)
+				}
+			case 4: // small advance: mostly stays below the memo
+				d := Duration(rng.Int63n(1 << uint(rng.Intn(12))))
+				c.Advance(d)
+				r.Advance(d)
+			default: // one poll
+				pev, pok := c.PeekDue()
+				ev, ok := c.PopDue()
+				rev, rok := r.PopDue()
+				if pok != ok || (ok && pev != ev) {
+					t.Fatalf("seed %d round %d: PeekDue (%+v,%v) != PopDue (%+v,%v)", seed, round, pev, pok, ev, ok)
+				}
+				if ok != rok || (ok && ev != rev) {
+					t.Fatalf("seed %d round %d: PopDue wheel=(%+v,%v) heap=(%+v,%v)", seed, round, ev, ok, rev, rok)
+				}
+			}
+			if c.Pending() != r.Pending() {
+				t.Fatalf("seed %d round %d: pending wheel=%d heap=%d", seed, round, c.Pending(), r.Pending())
+			}
+		}
+	}
+}

@@ -1,14 +1,22 @@
 #!/bin/sh
-# Tier-1 verification: build + full test suite, vet, and the race
-# detector over the packages with the hottest concurrency-adjacent code.
-# (The simulation itself is single-goroutine-at-a-time by construction;
-# -race still guards the baton-passing and pool machinery.)
+# Tier-1 verification: formatting, build + full test suite, vet, and the
+# race detector over every package with host concurrency. (The
+# simulation itself runs one thread at a time by construction, but each
+# System's threads run on coroutines resumed by a driver goroutine, and
+# fabric hosts run their drivers beside the coordinator goroutine.)
 set -ex
 cd "$(dirname "$0")/.."
+unformatted="$(gofmt -l cmd examples internal perfbench ./*.go)"
+if [ -n "$unformatted" ]; then
+  echo "gofmt: unformatted files:" >&2
+  echo "$unformatted" >&2
+  exit 1
+fi
 go build ./...
 go test ./...
 go vet ./...
-go test -race ./internal/core/ ./internal/sched/
+go test -race ./internal/core/ ./internal/sched/ ./internal/io/ ./internal/net/ \
+  ./internal/unixkern/ ./internal/arena/ ./internal/obs/ ./internal/fabric/
 
 # Schedule-exploration smoke: bounded search must find the seeded bugs
 # (deadlock, lost update), shrink them, and replay the minimized token to
@@ -171,14 +179,15 @@ go run ./cmd/ptexplore -workload lock-unfair-fixed -policy bounded -bound 2 -exp
 go run ./cmd/ptexplore -workload lock-mcs-handoff -policy bounded -bound 2 -expect clean
 go run ./cmd/ptexplore -workload lock-ticket-wrap -policy bounded -bound 2 -expect clean
 
-# Virtual-datacenter gates (DESIGN.md §13, E30). The fabric's baton
-# machinery under the host race detector, then fleet determinism: the
+# Virtual-datacenter gates (DESIGN.md §13, E30). The metrics collector
+# under the host race detector (the fabric ran under it above), then
+# fleet determinism: the
 # 9-host fault-injection example must produce byte-identical stdout
 # across two full runs (each run already self-checks its fingerprint
 # and all nine trace streams internally and exits 1 on mismatch), and
 # two dc-ladder sweeps must render identical bytes, fingerprints and
 # all — determinism under randomized loss.
-go test -race ./internal/metrics/ ./internal/fabric/
+go test -race ./internal/metrics/
 go run ./examples/fleet > "$t/fleet1.txt"
 go run ./examples/fleet > "$t/fleet2.txt"
 cmp "$t/fleet1.txt" "$t/fleet2.txt"
