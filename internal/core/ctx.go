@@ -10,13 +10,19 @@ import (
 // Execution contexts: the host backing of running threads.
 //
 // Every running thread executes on an execution context, a coroutine made
-// with iter.Pull. One driver goroutine per System (started by Run)
+// with iter.Pull. A driver loop (Drive; Run starts one goroutine for it)
 // resumes whichever context holds the baton; a context that hands the
 // processor to another thread records that thread's context as the baton
 // and yields back to the driver. Both transfers go through
 // runtime.coroswitch, never through the Go scheduler, so a simulated
 // context switch costs a direct host transfer of control, as the paper's
 // switch costs a window flush and a register reload with no kernel trip.
+//
+// A System that shares a timeline with others (the fabric's hosts) is
+// driven from outside instead: Start prepares the main thread, Drive runs
+// the driver loop on the caller, and Suspend, called by the clock's
+// governor on the running context, returns from Drive with that context
+// holding the baton, so the next Drive resumes it where it stopped.
 //
 // A goroutine-backed thread (Create) holds its context from first
 // dispatch until it exits. A continuation thread (CreateCont) holds one
@@ -55,11 +61,6 @@ func (s *System) bindCtx(t *Thread) {
 		c.idle = false
 	} else {
 		c = s.newCtx()
-		c.idx = len(s.ctxAll)
-		s.ctxAll = append(s.ctxAll, c)
-		if n := int64(len(s.ctxAll)); n > s.runnerPeak {
-			s.runnerPeak = n
-		}
 	}
 	c.t = t
 	t.ctx = c
@@ -96,10 +97,16 @@ func (s *System) dropCtx(c *execCtx) {
 	s.ctxAll = s.ctxAll[:last]
 }
 
-// newCtx creates a context. Its coroutine first runs when the driver
-// resumes it with the baton, by which time a thread is bound to it.
+// newCtx creates a context and adds it to the live set. Its coroutine
+// first runs when the driver resumes it with the baton, by which time a
+// thread is bound to it — except for the main context, which Start
+// leaves unbound.
 func (s *System) newCtx() *execCtx {
-	c := new(execCtx)
+	c := &execCtx{idx: len(s.ctxAll)}
+	s.ctxAll = append(s.ctxAll, c)
+	if n := int64(len(s.ctxAll)); n > s.runnerPeak {
+		s.runnerPeak = n
+	}
 	c.next, c.stop = iter.Pull(func(yield func(struct{}) bool) {
 		c.yield = yield
 		s.ctxLoop(c)
@@ -112,7 +119,11 @@ func (s *System) newCtx() *execCtx {
 // when the release and the next bind were the same dispatch, otherwise
 // after waiting in the idle pool. It ends when its thread's run was cut
 // short (the process ended), when it retires, or when stopped while idle.
+// The main context first runs the set-up of the main thread.
 func (s *System) ctxLoop(c *execCtx) {
+	if c.t == nil && !s.startMain(c) {
+		return
+	}
 	for {
 		t := c.t
 		s.runThread(t)
@@ -136,33 +147,60 @@ func (s *System) park(t *Thread) {
 	s.restoreSwitchMask()
 }
 
-// drive is the driver goroutine: it resumes the context holding the
-// baton until the process ends or no context holds it. Then it stops
-// every remaining context and releases Run. A thread body's
-// runtime.Goexit re-raises here out of next; the deferred teardown still
-// runs, so Run still returns the diagnosis runThread recorded.
-func (s *System) drive() {
-	defer s.teardown()
-	for !s.finished && s.baton != nil {
-		c := s.baton
-		s.baton = nil
-		c.next()
+// Suspend parks the running context and returns from the Drive that
+// resumed it; that context keeps the baton, so the next Drive continues
+// it. A clock governor calls it to hold the System until the virtual
+// time it asked for is granted. If the System is torn down instead (or
+// already is: teardown marks the context it stops as running), the
+// calling thread unwinds and Suspend does not return.
+func (s *System) Suspend() {
+	s.baton = s.running
+	s.suspended = true
+	if !s.running.yield(struct{}{}) {
+		panic(killPanic{})
 	}
 }
 
+// Drive runs the driver loop on the calling goroutine: it resumes the
+// context holding the baton until one suspends the System (false), or
+// the process ends or no context holds the baton (true; Err then holds
+// what Run returns). A suspended context resumes even once the process
+// has ended: it may be unwinding a thread that asked for time after
+// Shutdown. Unless suspended, the driver then stops every remaining
+// context, in a deferred call so that a thread body's runtime.Goexit,
+// re-raised here out of next, still tears the System down with the
+// diagnosis runThread recorded before Goexit leaves Drive.
+func (s *System) Drive() (ended bool) {
+	defer func() {
+		if !s.suspended {
+			s.teardown()
+		}
+	}()
+	for c := s.baton; c != nil && (s.suspended || !s.finished); c = s.baton {
+		s.baton = nil
+		s.suspended = false
+		s.running = c
+		c.next()
+		if s.suspended {
+			return false
+		}
+	}
+	return true
+}
+
 // teardown ends every live context, suspended or idle. A stopped
-// context's yield returns false, so its thread unwinds through park.
-// Code running in that unwinding may still dispatch: emptying the idle
-// pool first keeps it from binding a stopped context, and a context it
-// creates joins the live set and is stopped in turn.
+// context's yield returns false, so its thread unwinds through park or
+// Suspend. Code running in that unwinding may still dispatch: emptying
+// the idle pool first keeps it from binding a stopped context, and a
+// context it creates joins the live set and is stopped in turn.
 func (s *System) teardown() {
 	s.ctxIdle = nil
 	for n := len(s.ctxAll); n > 0; n = len(s.ctxAll) {
 		c := s.ctxAll[n-1]
 		s.dropCtx(c)
+		s.running = c
 		c.stop()
 	}
-	close(s.doneCh)
 }
 
 // runThread runs t on the calling context until it exits or, for a

@@ -197,11 +197,17 @@ type System struct {
 	fdNames map[fdKey]string
 
 	// Execution contexts (see ctx.go): baton is the context the driver
-	// resumes next; ctxAll holds every live context and ctxIdle the
-	// unbound ones. contHandoff marks a contLeave-driven dispatch, in
-	// which the switch parks the outgoing continuation thread and
-	// releases its context (see cont.go).
+	// resumes next and running the one it resumed last; suspended marks
+	// that running was suspended and still holds the baton. ctxAll holds
+	// every live context and ctxIdle the unbound ones; mainFn is the
+	// initial thread's body until the main context starts it.
+	// contHandoff marks a contLeave-driven dispatch, in which the switch
+	// parks the outgoing continuation thread and releases its context
+	// (see cont.go).
 	baton       *execCtx
+	running     *execCtx
+	suspended   bool
+	mainFn      func()
 	ctxAll      []*execCtx
 	ctxIdle     []*execCtx
 	runnerPeak  int64
@@ -253,7 +259,6 @@ type System struct {
 	finished         bool
 	finishErr        error
 	exitStatus       any
-	doneCh           chan struct{}
 	inUniversal      int // nesting depth of the universal signal handler
 
 	// Mask state across a context switch out of the universal handler.
@@ -302,7 +307,6 @@ func New(cfg Config) *System {
 		metrics: cfg.Metrics,
 		spans:   cfg.Spans,
 		prng:    rand.New(rand.NewSource(cfg.Seed)),
-		doneCh:  make(chan struct{}),
 		ctxIdle: make([]*execCtx, 0, ctxIdleMax),
 	}
 	s.atoms = hw.NewAtomics(s.cpu)
@@ -434,13 +438,51 @@ func (canceledType) String() string { return "PTHREAD_CANCELED" }
 // Run starts the system with an initial thread executing main and blocks
 // until every thread has terminated, Shutdown is called, or a fatal
 // condition (deadlock, unhandled panic, fatal signal) ends the process.
-// It returns nil on clean termination.
+// It returns nil on clean termination. Run is Start plus a driver
+// goroutine that Drives the system to its end, so it serves only a
+// System whose clock no governor suspends; the fabric drives its hosts
+// with Start and Drive itself.
 func (s *System) Run(main func()) error {
+	if err := s.Start(main); err != nil {
+		return err
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		s.Drive()
+	}()
+	<-done
+	return s.finishErr
+}
+
+// Start prepares main as the initial thread without running anything.
+// The set-up charges virtual time, which under a governor may suspend
+// the System, so it runs on the main thread's own execution context as
+// that context's first act, when Drive first resumes it.
+func (s *System) Start(main func()) error {
 	if s.runCalled {
 		return fmt.Errorf("core: Run called twice")
 	}
 	s.runCalled = true
+	s.mainFn = main
+	s.baton = s.newCtx()
+	return nil
+}
 
+// startMain creates the initial thread and binds it to c, the context
+// running now. It reports false if the process ended meanwhile: a
+// governed System torn down while the set-up waited for time, as a
+// fabric host is when another host ends the fleet first.
+func (s *System) startMain(c *execCtx) (started bool) {
+	defer func() {
+		if r := recover(); r != nil {
+			if _, ok := r.(killPanic); !ok {
+				panic(r)
+			}
+		}
+	}()
+	main := s.mainFn
+	s.mainFn = nil
 	t := s.allocTCB(Attr{
 		Priority:  s.cfg.MainPriority,
 		Policy:    s.cfg.MainPolicy,
@@ -455,12 +497,9 @@ func (s *System) Run(main func()) error {
 	s.current = t
 	s.trace(EvState, t, "running", "")
 	s.mState(t)
-
-	s.bindCtx(t)
-	s.baton = t.ctx
-	go s.drive()
-	<-s.doneCh
-	return s.finishErr
+	c.t = t
+	t.ctx = c
+	return true
 }
 
 // finish records the outcome of the simulation; the driver then tears
@@ -477,14 +516,20 @@ func (s *System) finish(err error, status any) {
 // ExitStatus returns the value passed to Shutdown/exit, if any.
 func (s *System) ExitStatus() any { return s.exitStatus }
 
-// Stop ends the simulation from outside thread context (e.g. a fabric
-// coordinator tearing down a fleet). It records err as the outcome; the
-// thread currently blocked in a governed clock advance is unwound by its
-// governor, after which the driver tears the remaining contexts down.
-// Unlike Shutdown it returns normally and is a no-op once finished.
+// Stop ends the simulation from outside thread context, between Drives
+// (e.g. a fabric coordinator tearing down a fleet). It records err as
+// the outcome unless the process already ended, and drops any suspended
+// context's claim to resume: the next Drive tears every context down,
+// unwinding the thread suspended in a governed clock advance. Unlike
+// Shutdown it returns normally.
 func (s *System) Stop(err error) {
 	s.finish(err, nil)
+	s.baton = nil
+	s.suspended = false
 }
+
+// Err returns the outcome Run returns, once the process has ended.
+func (s *System) Err() error { return s.finishErr }
 
 // Shutdown terminates the whole process from thread context, like exit().
 // It does not return.

@@ -244,8 +244,7 @@ func (r FleetResult) String() string {
 // ExploreFleetBounded is the CHESS-style bounded-preemption search over
 // a whole fleet: each run replays a forced prefix and records the switch
 // points seen past it on every host; the frontier extends with each
-// (host, point, pick) alternative. Runs are sequential — one fleet
-// already runs a goroutine per simulated thread across every host.
+// (host, point, pick) alternative. Runs are sequential.
 func ExploreFleetBounded(sc Scenario, o explore.Options) FleetResult {
 	if o.MaxRuns <= 0 {
 		o.MaxRuns = 500

@@ -5,7 +5,7 @@
 // timeline. The turn rule mirrors the SMP executor's min-(clock, ID)
 // discipline one level up: of all parked hosts, the one with the
 // smallest (clock, hostID) runs next, and it runs alone — the entire
-// fleet executes one goroutine at a time, so every run is a
+// fleet executes on one driver goroutine, so every run is a
 // deterministic function of (configuration, seed, fault script).
 //
 // The synchronization protocol is conservative parallel discrete-event
@@ -128,26 +128,6 @@ type Config struct {
 	explorer *fleetCtl
 }
 
-// grantMsg resumes a parked host: advance to grant, free-run below
-// lease. kill tears the host down instead.
-type grantMsg struct {
-	grant, lease vtime.Time
-	kill         bool
-}
-
-// parkMsg is a host's report to the coordinator: either a park (the host
-// wants to advance now -> want and is blocked until granted) or its
-// completion.
-type parkMsg struct {
-	h         *Host
-	now, want vtime.Time
-	done      bool
-	err       error
-}
-
-// hostKill unwinds a host goroutine blocked in Grant during teardown.
-type hostKill struct{}
-
 // Host is one simulated machine of the fleet.
 type Host struct {
 	ID   int
@@ -159,16 +139,17 @@ type Host struct {
 	spec HostSpec
 	rec  *trace.Recorder
 
-	grantCh chan grantMsg
-
 	// Coordinator-side view (touched only while the host is parked or
-	// before it starts).
-	now, want vtime.Time
-	parked    bool
-	done      bool
-	pauses    []HostPause
-	pauseIdx  int
-	bodyErr   error
+	// before it starts). A parked host asked to advance from now to
+	// want; grant and lease are the coordinator's answer, which its
+	// Grant returns when the host resumes.
+	now, want    vtime.Time
+	grant, lease vtime.Time
+	started      bool
+	done         bool
+	pauses       []HostPause
+	pauseIdx     int
+	bodyErr      error
 }
 
 // TraceEvents returns the host's recorded trace (Config.Trace only).
@@ -180,17 +161,15 @@ func (h *Host) TraceEvents() []core.TraceEvent {
 }
 
 // hostGov adapts the coordinator protocol to vtime.Governor: every ask
-// parks the host on the fabric's channel and blocks until granted.
+// records the host's park and suspends its System back to the fleet
+// driver, which resumes it with the grant once the turn rule picks it.
 type hostGov struct{ h *Host }
 
 func (g *hostGov) Grant(now, want vtime.Time) (vtime.Time, vtime.Time) {
 	h := g.h
-	h.f.backCh <- parkMsg{h: h, now: now, want: want}
-	gm := <-h.grantCh
-	if gm.kill {
-		panic(hostKill{})
-	}
-	return gm.grant, gm.lease
+	h.now, h.want = now, want
+	h.Sys.Suspend()
+	return h.grant, h.lease
 }
 
 // Fabric is the coordinator of one fleet run.
@@ -199,15 +178,13 @@ type Fabric struct {
 	hosts  []*Host
 	byName map[string]*Host
 	wires  map[[2]int]*wire
-	backCh chan parkMsg
 
-	nLive   int
-	nParked int
-	err     error
-	fp      uint64 // FNV-1a over the grant/done stream
-	flows   uint64
-	ran     bool
-	obs     *fleetObs // observability plane; nil when disabled
+	nLive int
+	err   error
+	fp    uint64 // FNV-1a over the grant/done stream
+	flows uint64
+	ran   bool
+	obs   *fleetObs // observability plane; nil when disabled
 }
 
 // New builds a fleet. Host bodies do not start until Run.
@@ -228,7 +205,6 @@ func New(cfg Config) (*Fabric, error) {
 		cfg:    cfg,
 		byName: make(map[string]*Host),
 		wires:  make(map[[2]int]*wire),
-		backCh: make(chan parkMsg),
 		fp:     fnvOffset,
 	}
 	if cfg.Obs.enabled() {
@@ -241,7 +217,7 @@ func New(cfg Config) (*Fabric, error) {
 		if _, dup := f.byName[spec.Name]; dup {
 			return nil, fmt.Errorf("fabric: duplicate host %q", spec.Name)
 		}
-		h := &Host{ID: i, Name: spec.Name, f: f, spec: spec, grantCh: make(chan grantMsg)}
+		h := &Host{ID: i, Name: spec.Name, f: f, spec: spec}
 		hcfg := spec.Cfg
 		hcfg.ExternalEvents = true
 		if cfg.Trace {
@@ -335,98 +311,104 @@ func (f *Fabric) Run() error {
 		return errors.New("fabric: Run called twice")
 	}
 	f.ran = true
-	f.nLive = len(f.hosts)
-	for _, h := range f.hosts {
-		go h.run()
-	}
-	for {
-		// Wait until every live host is parked. Between grants exactly
-		// one host runs, so this receives exactly one message — except
-		// at startup, where all hosts park their init charges
-		// concurrently (harmless: parks are keyed by host, and nothing
-		// is decided until all have arrived).
-		for f.nParked < f.nLive {
-			m := <-f.backCh
-			if !m.done {
-				m.h.now, m.h.want, m.h.parked = m.now, m.want, true
-				f.nParked++
-				if f.obs != nil {
-					f.obs.onPark(m.h, m.now)
-				}
-				continue
-			}
-			m.h.done = true
-			f.nLive--
-			f.mix(uint64(m.h.ID), doneMark, 0)
-			if m.err != nil && f.err == nil {
-				f.err = fmt.Errorf("host %s: %w", m.h.Name, m.err)
-			}
-			if f.err != nil {
-				f.killAll()
-				return f.err
-			}
-			if f.drained() || f.nLive == 0 {
-				f.killAll()
-				return nil
-			}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		f.drive()
+	}()
+	<-done
+	return f.err
+}
+
+// drive is the fleet driver: the coordinator loop and, in place, every
+// host's System driver loop, all on one goroutine. Each turn resumes the
+// picked host until its governor suspends it (the host parks again) or
+// it completes, so a turn costs two coroutine switches and no trip
+// through the Go scheduler. The teardown is deferred: a thread body's
+// runtime.Goexit, re-raised out of its host's Drive, ends the fleet with
+// that host's diagnosis.
+func (f *Fabric) drive() {
+	var cur *Host // the host being resumed
+	defer func() {
+		if cur != nil {
+			f.complete(cur)
 		}
+		f.killAll()
+	}()
+	// Start rendezvous: every host begins parked at now = want = 0, so
+	// host bodies execute strictly one at a time from the very first
+	// instant (the first grant starts the host; its values are not
+	// applied to the clock). Between turns every live host is parked.
+	f.nLive = len(f.hosts)
+	for {
 		e := f.fleetNext()
 		if e == vtime.Infinity {
 			f.err = errors.New(f.deadlockReport())
-			f.killAll()
-			return f.err
+			return
 		}
 		if f.obs != nil {
 			f.obs.sampleAt(f, e)
 			f.obs.checkWaitCycle(f)
 		}
 		h := f.pick()
-		grant, lease := f.grantFor(h, e)
-		f.mix(uint64(h.ID), uint64(h.want), uint64(grant))
+		h.grant, h.lease = f.grantFor(h, e)
+		f.mix(uint64(h.ID), uint64(h.want), uint64(h.grant))
 		if f.obs != nil {
-			f.obs.onGrant(f, h, grant)
+			f.obs.onGrant(f, h, h.grant)
 		}
-		h.parked = false
-		f.nParked--
-		h.grantCh <- grantMsg{grant: grant, lease: lease}
+		cur = h
+		ended := h.resume()
+		cur = nil
+		if !ended {
+			if f.obs != nil {
+				f.obs.onPark(h, h.now)
+			}
+			continue
+		}
+		if f.complete(h) {
+			return
+		}
 	}
 }
 
-// run is one host's goroutine: execute the body under the thread system
-// and report completion. A teardown kill unwinds through here.
-func (h *Host) run() {
-	err := errors.New("fabric: host torn down")
-	defer func() {
-		if r := recover(); r != nil {
-			if _, ok := r.(hostKill); !ok {
-				panic(r)
+// resume runs h until it parks again (false) or completes (true). The
+// first grant starts the host: its body becomes the main thread of its
+// System.
+func (h *Host) resume() bool {
+	if !h.started {
+		h.started = true
+		// Start fails only when called twice, and a host starts once.
+		_ = h.Sys.Start(func() {
+			if e := h.spec.Body(h); e != nil {
+				h.bodyErr = e
 			}
-		}
-		h.f.backCh <- parkMsg{h: h, done: true, err: err}
-	}()
-	// Start rendezvous: park once at t=0 before the body runs, so host
-	// bodies execute strictly one at a time from the very first instant
-	// (want == now marks a host that may act immediately once released;
-	// the grant values are not applied to the clock).
-	h.f.backCh <- parkMsg{h: h, now: 0, want: 0}
-	if gm := <-h.grantCh; gm.kill {
-		panic(hostKill{})
+		})
 	}
-	err = h.Sys.Run(func() {
-		if e := h.spec.Body(h); e != nil {
-			h.bodyErr = e
-		}
-	})
+	return h.Sys.Drive()
+}
+
+// complete records h's completion and reports whether it ends the fleet:
+// an error, the drain set done, or no host left.
+func (f *Fabric) complete(h *Host) bool {
+	h.done = true
+	f.nLive--
+	f.mix(uint64(h.ID), doneMark, 0)
+	err := h.Sys.Err()
 	if err == nil {
 		err = h.bodyErr
 	}
+	if err != nil && f.err == nil {
+		f.err = fmt.Errorf("host %s: %w", h.Name, err)
+	}
+	return f.err != nil || f.drained() || f.nLive == 0
 }
 
-// pick selects the parked host with the smallest (clock, ID).
+// pick selects the live host with the smallest (clock, ID); between
+// turns every live host is parked.
 func (f *Fabric) pick() *Host {
 	var best *Host
 	for _, h := range f.hosts {
-		if !h.parked || h.done {
+		if h.done {
 			continue
 		}
 		if best == nil || h.now < best.now {
@@ -550,11 +532,9 @@ func (f *Fabric) drained() bool {
 	return true
 }
 
-// killAll tears down every live host: first Stop releases the host's
-// parked threads and lets its Run return, then the kill grant unwinds
-// the one goroutine blocked in Grant. Each host sends exactly one done
-// message, consumed here, so the coordinator exits with no goroutine
-// still talking to it.
+// killAll tears down every live host: Stop records the reason, and one
+// more Drive of a started host stops its execution contexts, unwinding
+// the thread suspended in Grant. No goroutine of the fleet outlives it.
 func (f *Fabric) killAll() {
 	reason := f.err
 	if reason == nil {
@@ -565,17 +545,10 @@ func (f *Fabric) killAll() {
 			continue
 		}
 		h.Sys.Stop(reason)
-		h.grantCh <- grantMsg{kill: true}
-		for {
-			m := <-f.backCh
-			if m.done && m.h == h {
-				h.done = true
-				break
-			}
-			// Parks from the dying host are impossible (its threads are
-			// dead); parks from others cannot happen while they are
-			// parked. Drop anything unexpected defensively.
+		if h.started {
+			h.Sys.Drive()
 		}
+		h.done = true
 	}
 	if f.obs != nil {
 		f.obs.teardown(f)

@@ -5,7 +5,6 @@ import (
 	"runtime"
 	"strings"
 	"testing"
-	"time"
 
 	"pthreads/internal/core"
 	"pthreads/internal/vtime"
@@ -116,6 +115,7 @@ func TestFleetDeterminism(t *testing.T) {
 }
 
 func TestFleetDeadlock(t *testing.T) {
+	before := runtime.NumGoroutine()
 	cfg := Config{
 		Hosts: []HostSpec{
 			{Name: "a", Body: func(h *Host) error {
@@ -147,6 +147,7 @@ func TestFleetDeadlock(t *testing.T) {
 	if !strings.Contains(err.Error(), "host a") || !strings.Contains(err.Error(), "host b") {
 		t.Fatalf("deadlock report misses a host: %v", err)
 	}
+	checkTornDown(t, f, before)
 }
 
 func TestDrainTearsDownServer(t *testing.T) {
@@ -214,26 +215,20 @@ func TestKillAllLeaksNoContext(t *testing.T) {
 	if err := f.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	for _, name := range []string{"srv", "cli"} {
-		if n := f.Host(name).Sys.Stats().RunnerLive; n != 0 {
-			t.Errorf("host %s: %d contexts live after the fleet ended", name, n)
-		}
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if after := runtime.NumGoroutine(); after > before {
-		t.Fatalf("goroutines leaked: before %d, after %d", before, after)
-	}
+	checkTornDown(t, f, before)
 }
 
 func TestHostBodyErrorFailsFleet(t *testing.T) {
+	// Host a's body fails before host b's body runs: b is torn down
+	// while its main thread's set-up still waits for its next grant.
+	before := runtime.NumGoroutine()
 	boom := errors.New("boom")
+	bRan := false
 	cfg := Config{
 		Hosts: []HostSpec{
 			{Name: "a", Body: func(h *Host) error { return boom }},
 			{Name: "b", Body: func(h *Host) error {
+				bRan = true
 				l, err := h.IO.Listen("x", 1)
 				if err != nil {
 					return err
@@ -251,6 +246,10 @@ func TestHostBodyErrorFailsFleet(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "host a") || !errors.Is(err, boom) {
 		t.Fatalf("want wrapped boom from host a, got %v", err)
 	}
+	if bRan {
+		t.Errorf("host b's body ran; host a must fail first")
+	}
+	checkTornDown(t, f, before)
 }
 
 func TestPauseShiftsWork(t *testing.T) {

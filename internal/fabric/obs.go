@@ -103,8 +103,9 @@ type FleetFinding struct {
 }
 
 // fleetObs is the coordinator-side state of the plane. All of it is
-// touched only from the coordinator goroutine or from a host while it
-// holds the fleet's single running turn, so no locking is needed.
+// touched only by the coordinator or by a host while it holds the
+// fleet's single running turn, all on the fleet driver goroutine, so no
+// locking is needed.
 type fleetObs struct {
 	cfg  ObsConfig
 	recs []*obs.Recorder // per-host span recorders; nil unless Spans
@@ -227,7 +228,7 @@ func (o *fleetObs) onPark(h *Host, now vtime.Time) {
 // sampleAt takes a rollup sample when fleet time crosses the next
 // boundary. Called with every live host parked, at the fleet-wide
 // next-action bound e, so reading the parked hosts' systems is safe
-// (the park channel send established happens-before).
+// (they are suspended on the same goroutine).
 func (o *fleetObs) sampleAt(f *Fabric, e vtime.Time) {
 	if !o.cfg.Rollup || e == vtime.Infinity || e < o.nextSample {
 		return
@@ -262,7 +263,7 @@ func (o *fleetObs) checkWaitCycle(f *Fabric) {
 	}
 	var mask uint64
 	for _, h := range f.hosts {
-		if !h.done && h.parked && h.ID < 64 && h.eff() == vtime.Infinity {
+		if !h.done && h.ID < 64 && h.eff() == vtime.Infinity {
 			mask |= 1 << uint(h.ID)
 		}
 	}

@@ -26,9 +26,10 @@ package vtime
 // with the clock's current time and the target it wants to reach, and
 // returns how far it may actually move (grant, always > now) together
 // with a new lease (always >= grant) below which future advances need
-// no further permission. Implementations block the calling goroutine
-// until the advance is safe — that is the mechanism by which only one
-// host runs at a time.
+// no further permission. Grant returns only once the advance is safe;
+// until then an implementation holds the calling host (the fabric
+// suspends the host's running execution context back to its fleet
+// driver) — that is the mechanism by which only one host runs at a time.
 type Governor interface {
 	Grant(now, want Time) (grant, lease Time)
 }

@@ -504,8 +504,12 @@ func (c *Clock) fixup() {
 	}
 }
 
-// NextExpiry returns the expiry of the earliest armed timer.
+// NextExpiry returns the expiry of the earliest armed timer. An empty
+// wheel answers at once, leaving the anchor to trail now as noneDue does.
 func (c *Clock) NextExpiry() (Time, bool) {
+	if c.npending == 0 {
+		return 0, false
+	}
 	if c.cachedOK {
 		return c.cachedNext, true
 	}

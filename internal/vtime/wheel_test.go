@@ -260,3 +260,76 @@ func TestWheelEarlyOutMatchesHeap(t *testing.T) {
 		}
 	}
 }
+
+// TestWheelEmptyNextExpiryMatchesHeap keeps the wheel at zero to two
+// timers so that most NextExpiry queries find it empty, which answers
+// without a fixup and leaves the anchor trailing now. Arms (near, far,
+// and already overdue), cancels, pops and long advances interleave with
+// those queries; every answer, and every pop after a trailing anchor,
+// must match the heap reference.
+func TestWheelEmptyNextExpiryMatchesHeap(t *testing.T) {
+	empties := 0
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		c := NewClock()
+		r := newRefClock()
+		var live []TimerID
+		for round := 0; round < 4000; round++ {
+			switch op := rng.Intn(6); {
+			case op == 0 && len(live) < 2: // arm, at or behind now up to 2^30 ahead
+				at := c.Now().Add(Duration(rng.Int63n(1 << uint(rng.Intn(31)))))
+				if rng.Intn(4) == 0 {
+					at = c.Now() - Time(rng.Int63n(64))
+				}
+				id, rid := c.ScheduleAt(at, round), r.ScheduleAt(at, round)
+				if id != rid {
+					t.Fatalf("seed %d round %d: wheel id %d != heap id %d", seed, round, id, rid)
+				}
+				live = append(live, id)
+			case op == 1 && len(live) > 0: // cancel
+				i := rng.Intn(len(live))
+				id := live[i]
+				live = append(live[:i], live[i+1:]...)
+				if got, want := c.Cancel(id), r.Cancel(id); got != want {
+					t.Fatalf("seed %d round %d: Cancel(%d) wheel=%v heap=%v", seed, round, id, got, want)
+				}
+			case op == 2: // advance, often far past every level-0 window
+				d := Duration(rng.Int63n(1 << uint(rng.Intn(40))))
+				c.Advance(d)
+				r.Advance(d)
+			case op == 3: // pop everything due
+				for {
+					ev, ok := c.PopDue()
+					rev, rok := r.PopDue()
+					if ok != rok || (ok && ev != rev) {
+						t.Fatalf("seed %d round %d: PopDue wheel=(%+v,%v) heap=(%+v,%v)", seed, round, ev, ok, rev, rok)
+					}
+					if !ok {
+						break
+					}
+					for i, id := range live {
+						if id == ev.ID {
+							live = append(live[:i], live[i+1:]...)
+							break
+						}
+					}
+				}
+			default: // query
+				if c.Pending() == 0 {
+					empties++
+				}
+				at, ok := c.NextExpiry()
+				rat, rok := r.NextExpiry()
+				if ok != rok || (ok && at != rat) {
+					t.Fatalf("seed %d round %d: NextExpiry wheel=(%v,%v) heap=(%v,%v)", seed, round, at, ok, rat, rok)
+				}
+			}
+			if c.Pending() != r.Pending() {
+				t.Fatalf("seed %d round %d: pending wheel=%d heap=%d", seed, round, c.Pending(), r.Pending())
+			}
+		}
+	}
+	if empties < 1000 {
+		t.Fatalf("only %d empty-wheel queries; the test no longer exercises the early return", empties)
+	}
+}

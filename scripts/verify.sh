@@ -2,8 +2,9 @@
 # Tier-1 verification: formatting, build + full test suite, vet, and the
 # race detector over every package with host concurrency. (The
 # simulation itself runs one thread at a time by construction, but each
-# System's threads run on coroutines resumed by a driver goroutine, and
-# fabric hosts run their drivers beside the coordinator goroutine.)
+# System's threads run on coroutines resumed by a driver goroutine that
+# Run starts, and a fleet runs on a driver goroutine that Fabric.Run
+# starts.)
 set -ex
 cd "$(dirname "$0")/.."
 unformatted="$(gofmt -l cmd examples internal perfbench ./*.go)"
@@ -127,6 +128,18 @@ awk '
       printf "alloc gate: %s reports %s allocs/op (want 0)\n", $1, $(NF-1) } }
   END { if (found < 2) { bad = 1; print "alloc gate: expected both echo benchmarks" }
     exit bad }' "$t/echobench.txt"
+
+# Fleet-turn allocation gate: a grant to one host and its park back are
+# two coroutine switches over preallocated coordinator state, so the
+# leapfrog benchmark must report 0 allocs/op.
+go test -run '^$' -bench 'FleetTurn$' -benchmem -benchtime 20000x ./internal/fabric/ > "$t/turnbench.txt"
+cat "$t/turnbench.txt"
+awk '
+  /^BenchmarkFleetTurn/ { found++
+    if ($(NF-1) + 0 != 0) { bad = 1
+      printf "alloc gate: %s reports %s allocs/op (want 0)\n", $1, $(NF-1) } }
+  END { if (!found) { bad = 1; print "alloc gate: expected BenchmarkFleetTurn" }
+    exit bad }' "$t/turnbench.txt"
 
 # Resident-footprint smoke (DESIGN.md §15, E32) at a reduced
 # population: RunC1M itself fails unless every thread parks as a
