@@ -57,37 +57,48 @@ func (c *Cond) Waiters() int { return c.waiters.Len() }
 // point for cancellation; a cancelled waiter reacquires the mutex before
 // its cleanup handlers run.
 func (c *Cond) Wait(m *Mutex) error {
-	return c.wait(m, -1)
+	return c.wait(m, 0, false)
 }
 
 // TimedWait is Wait with a relative timeout; it returns ETIMEDOUT if the
 // condition variable was not signaled within d of virtual time. The mutex
 // is held again on return regardless.
 func (c *Cond) TimedWait(m *Mutex, d vtime.Duration) error {
-	if d < 0 {
-		return EINVAL.Or()
-	}
-	return c.wait(m, d)
+	return c.wait(m, d, true)
 }
 
-func (c *Cond) wait(m *Mutex, d vtime.Duration) error {
+func (c *Cond) wait(m *Mutex, d vtime.Duration, timed bool) error {
 	s := c.s
 	t := s.current
+	if block, err := s.condPrepare(t, c, m, d, timed); !block {
+		return err
+	}
+	s.blockCurrent(BlockCond, c.waitName)
+	return s.condFinish(t, c, m)
+}
+
+// condPrepare is a condition wait up to the park: the argument checks
+// (err set, block false), then, inside the kernel, t queued on c with
+// the timeout d armed when timed, and m released.
+func (s *System) condPrepare(t *Thread, c *Cond, m *Mutex, d vtime.Duration, timed bool) (block bool, err error) {
+	if timed && d < 0 {
+		return false, EINVAL.Or()
+	}
 	if m == nil || m.owner != t {
 		t.errno = EPERM
-		return EPERM.Or()
+		return false, EPERM.Or()
 	}
 	if c.mutex != nil && c.mutex != m {
 		// Different mutexes used with one condition variable.
 		t.errno = EINVAL
-		return EINVAL.Or()
+		return false, EINVAL.Or()
 	}
 	if m.eng != nil {
 		// Engine mutexes have no suspend queue, and the signal hand-off
 		// below morphs cond waiters onto exactly that queue (see
 		// enginemutex.go).
 		t.errno = EINVAL
-		return EINVAL.Or()
+		return false, EINVAL.Or()
 	}
 	s.TestCancel()
 
@@ -104,7 +115,7 @@ func (c *Cond) wait(m *Mutex, d vtime.Duration) error {
 		s.metrics.CondWaitStart(s.clock.Now(), t, c)
 	}
 
-	if d >= 0 {
+	if timed {
 		t.cvTag.t, t.cvTag.c = t, c
 		t.waitTimer = s.kern.SetTimerInternal(s.proc, sigalrm, d, &t.cvTag)
 	}
@@ -113,9 +124,12 @@ func (c *Cond) wait(m *Mutex, d vtime.Duration) error {
 	// the kernel, so no other thread can intervene between the unlock
 	// and the block.
 	s.unlockForWaitLocked(m)
-	s.blockCurrent(BlockCond, c.waitName)
+	return true, nil
+}
 
-	// Woken. Every path below ends with the mutex held.
+// condFinish is a condition wait after the park: it acts on the wake
+// cause and returns the wait's result. Every path ends with m held.
+func (s *System) condFinish(t *Thread, c *Cond, m *Mutex) error {
 	s.cpu.ChargeInstr(instrCondResume)
 	t.waitingCond = nil
 	t.condMutex = nil

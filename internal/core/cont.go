@@ -1,11 +1,6 @@
 package core
 
 import (
-	"fmt"
-	"strconv"
-
-	"pthreads/internal/hw"
-	"pthreads/internal/sched"
 	"pthreads/internal/unixkern"
 	"pthreads/internal/vtime"
 )
@@ -18,10 +13,14 @@ import (
 // point, so a million parked threads cost a few cache lines each instead
 // of a goroutine stack.
 //
-// The representation is purely host-side: every virtual charge, trace
-// event, metrics call, and queue operation a continuation thread
-// performs is a transcription of the goroutine path's, in the same
-// order, so schedules stay bit-identical between the two
+// The representation is purely host-side. Each blocking primitive is
+// written once, split at its park into a prepare half (argument checks
+// through the enqueue) and a finish half (the wake-cause switch). A
+// goroutine-backed thread runs prepare, blockCurrent, finish; a
+// continuation thread runs prepare, then contBlock, which releases its
+// context, and re-enters at the finish half when woken. Both run every
+// virtual charge, trace event, metrics call, and queue operation in the
+// same order, so schedules stay bit-identical between the two
 // representations (pinned by the lockstep tests in cont_lockstep_test.go).
 //
 // The key invariant making the rest of the library work unchanged:
@@ -68,19 +67,9 @@ type Cont struct {
 	next ContFunc // continuation recorded by the pending op (or next step)
 
 	op      contOp
-	opPhase int // 0 before the park, 1 after; drivers re-enter here
+	opPhase int // 0 before the park, 1 after: contDrive re-enters at finish
 
-	// Operands of the declared operation.
-	d         vtime.Duration
-	deadline  vtime.Time
-	blockedAt vtime.Time
-	fd        unixkern.FD
-	dir       FDDir
-	what      string
-	fdop      FDOp
-	mu        *Mutex
-	cv        *Cond
-	target    *Thread
+	waitState // operands of the declared operation
 
 	// Arg is the creation argument (CreateCont's arg).
 	Arg any
@@ -139,7 +128,7 @@ func (k *Cont) Lock(m *Mutex, then ContFunc) {
 // CondWait declares a condition wait (Cond.Wait); the mutex is held
 // again when then runs, with k.Err as Wait's result.
 func (k *Cont) CondWait(c *Cond, m *Mutex, then ContFunc) {
-	k.cv, k.mu, k.d = c, m, -1
+	k.cv, k.mu = c, m
 	k.declare(contOpWait, then)
 }
 
@@ -176,21 +165,11 @@ func (s *System) contBody(k *Cont) (status any, exited bool) {
 			panic(r)
 		}
 	}()
-	if k.first {
-		// First dispatch: the prologue runThread gives a goroutine-backed
-		// thread (no poll — the dispatching context already ran
-		// leaveKernel's tail).
-		k.first = false
-		s.drainFakeCalls()
-		s.armSliceOnUserReturn()
-	} else {
-		// Wakeup from a declared park: the tail of the leaveKernel that
-		// handed the processor away runs on the resumed side, exactly as
-		// it does for a goroutine thread returning from park.
-		s.pollOutsideKernel()
-		s.drainFakeCalls()
-		s.armSliceOnUserReturn()
-	}
+	// A wakeup from a declared park runs the tail of the leaveKernel
+	// that handed the processor away, as a goroutine thread returning
+	// from park does; the first dispatch runs runThread's prologue.
+	s.userReturn(!k.first)
+	k.first = false
 	if s.contSteps(k) {
 		return nil, false
 	}
@@ -218,489 +197,123 @@ func (s *System) contSteps(k *Cont) (parked bool) {
 	}
 }
 
-// contDrive dispatches to the declared operation's driver. Each driver
-// is a phase-numbered transcription of its goroutine original with
-// identical virtual charges, traces, and metrics ordering; it returns
-// true when the thread parked (its context is already released and the
-// baton passed — the caller must unwind without touching k or its
-// thread).
+// contDrive runs the declared operation through its primitive's shared
+// halves: before the park (opPhase 0) the prepare half, then contBlock;
+// after a wakeup (opPhase 1) the finish half. It returns true when the
+// thread parked (its context is already released and the baton passed —
+// the caller must unwind without touching k or its thread).
 func (s *System) contDrive(k *Cont) (parked bool) {
+	t, w := k.t, &k.waitState
+	resumed := k.opPhase != 0
 	switch k.op {
-	case contOpFD:
-		return s.contDriveFD(k)
 	case contOpSleep:
-		return s.contDriveSleep(k)
+		if !resumed {
+			if !s.sleepPrepare(t, w) {
+				k.Rem = 0
+				return false
+			}
+			if s.contBlock(k, BlockSleep, w.what) {
+				return true
+			}
+		}
+		k.Rem = s.sleepFinish(t, w)
 	case contOpYield:
-		return s.contDriveYield(k)
+		if !resumed {
+			s.yieldPrepare(t)
+			return s.contLeave(k)
+		}
 	case contOpLock:
-		return s.contDriveLock(k)
+		if !resumed {
+			if k.Err = s.lockCheck(k.mu, t); k.Err != nil {
+				return false
+			}
+			if !s.lockPrepare(k.mu, t) {
+				return false
+			}
+			if s.contBlock(k, BlockMutex, k.mu.waitName) {
+				return true
+			}
+		}
+		s.lockFinish(k.mu, t)
 	case contOpWait, contOpTimedWait:
-		return s.contDriveWait(k)
+		if !resumed {
+			var block bool
+			if block, k.Err = s.condPrepare(t, k.cv, k.mu, k.d, k.op == contOpTimedWait); !block {
+				return false
+			}
+			if s.contBlock(k, BlockCond, k.cv.waitName) {
+				return true
+			}
+		}
+		k.Err = s.condFinish(t, k.cv, k.mu)
 	case contOpJoin:
-		return s.contDriveJoin(k)
+		blocked := resumed
+		if !resumed {
+			var block bool
+			if block, k.Err = s.joinPrepare(t, k.target); k.Err != nil {
+				return false
+			}
+			if block {
+				if s.contBlock(k, BlockJoin, "join "+k.target.String()) {
+					return true
+				}
+				blocked = true
+			}
+		}
+		k.Val = s.joinFinish(t, k.target, blocked)
+	case contOpFD:
+		if !resumed {
+			s.fdPrepare(w)
+		} else if retry, err := s.fdWake(t, w); !retry {
+			k.Err = err
+			return false
+		}
+		parked, k.Err = s.fdLoop(t, w, nil, k)
+		return parked
+	default:
+		panic("core: unknown continuation operation")
 	}
-	panic("core: unknown continuation operation")
+	return false
 }
 
 // contBlock is blockCurrent with the goroutine park replaced by the
 // continuation handoff. Returns true when the thread parked.
 func (s *System) contBlock(k *Cont, reason BlockReason, what string) bool {
-	t := k.t
-	t.state = StateBlocked
-	t.blockReason = reason
-	t.waitingFor = what
-	s.cancelSliceTimer()
-	s.trace(EvState, t, "blocked", what)
-	s.mState(t)
-	s.dispatcherFlag = true
-	return s.contLeave(t)
+	s.markBlocked(reason, what)
+	return s.contLeave(k)
 }
 
 // contLeave is the continuation analogue of leaveKernel at a declared
-// park point: run the dispatcher in handoff mode, which on a switch
-// parks the thread and releases its context (the caller must then unwind
-// to the context loop without touching shared state), or, if the
-// dispatcher reselected this thread without a switch, run leaveKernel's
-// tail and continue inline.
-func (s *System) contLeave(t *Thread) (parked bool) {
+// park point. It moves the operation to its finish half, then runs the
+// dispatcher in handoff mode, which on a switch parks the thread and
+// releases its context (the caller must then unwind to the context loop
+// without touching shared state), or, if the dispatcher reselected this
+// thread without a switch, runs leaveKernel's tail and continues inline.
+func (s *System) contLeave(k *Cont) (parked bool) {
 	if !s.kernelFlag {
 		panic("core: contLeave outside kernel")
 	}
+	k.opPhase = 1
 	// The kernel-exit decision hooks never fire here — the thread's
 	// state is not Running at a park point, exactly as in leaveKernel.
 	s.exploreSquelch = false
 	s.contHandoff = true
 	s.dispatch()
 	s.contHandoff = false
-	if t.ctx == nil {
+	if k.t.ctx == nil {
 		return true
 	}
 	// Reselected: this thread was made ready again during the dispatch
 	// (restart-arc signal handling) and chosen without a switch. Finish
 	// the kernel exit as leaveKernel would.
-	s.pollOutsideKernel()
-	s.drainFakeCalls()
-	s.armSliceOnUserReturn()
+	s.userReturn(true)
 	return false
-}
-
-// --- Drivers ----------------------------------------------------------------
-//
-// Each driver transcribes its goroutine original (named in the comment)
-// with blockCurrent replaced by contBlock and the post-park code re-entered
-// at opPhase 1 after a wakeup. The originals stay untouched; the lockstep
-// tests pin byte-identical schedules between the two.
-
-// contDriveSleep transcribes System.Sleep.
-func (s *System) contDriveSleep(k *Cont) bool {
-	t := k.t
-	if k.opPhase == 0 {
-		s.TestCancel()
-		if k.d <= 0 {
-			k.Rem = 0
-			return false
-		}
-		k.deadline = s.clock.Now().Add(k.d)
-		s.enterKernel()
-		t.waitTimer = s.kern.SetTimer(s.proc, sigalrm, k.d, t, false)
-		t.wake = wakeNone
-		what := "sleep"
-		if s.tracer != nil {
-			what = fmt.Sprintf("sleep %v", k.d)
-		}
-		k.opPhase = 1
-		if s.contBlock(k, BlockSleep, what) {
-			return true
-		}
-	}
-	switch t.wake {
-	case wakeTimer:
-		k.Rem = 0
-	case wakeCancel:
-		s.TestCancel() // exits
-		k.Rem = 0
-	case wakeInterrupt:
-		if rem := k.deadline.Sub(s.clock.Now()); rem > 0 {
-			k.Rem = rem
-		} else {
-			k.Rem = 0
-		}
-	default:
-		panic("core: sleep woke with unexpected cause")
-	}
-	return false
-}
-
-// contDriveYield transcribes System.Yield.
-func (s *System) contDriveYield(k *Cont) bool {
-	t := k.t
-	if k.opPhase == 0 {
-		s.enterKernel()
-		t.state = StateReady
-		s.cpu.ChargeInstr(instrReadyQueueOp)
-		s.ready.Enqueue(t, t.prio)
-		s.trace(EvState, t, "ready", "yield")
-		s.mState(t)
-		s.dispatcherFlag = true
-		k.opPhase = 1
-		if s.contLeave(t) {
-			return true
-		}
-	}
-	return false
-}
-
-// contDriveLock transcribes Mutex.Lock + lockSlow.
-func (s *System) contDriveLock(k *Cont) bool {
-	t := k.t
-	m := k.mu
-	if k.opPhase == 0 {
-		if m.owner == t {
-			t.errno = EDEADLK
-			k.Err = EDEADLK.Or()
-			return false
-		}
-		if m.protocol == ProtocolCeiling && t.prio > m.ceiling {
-			t.errno = EINVAL
-			k.Err = EINVAL.Or()
-			return false
-		}
-		if m.eng != nil {
-			// Engine mutexes spin with yields; the context stays bound.
-			s.engineLock(m)
-			return false
-		}
-		if s.acquireAtomic(m, t) {
-			s.afterAcquire(m, t)
-			return false
-		}
-		// lockSlow, split at the park.
-		s.enterKernel()
-		s.stats.MutexContentions++
-		m.Contentions++
-		if s.tracer != nil {
-			s.traceObj(EvMutex, t, m.name, "block", fmt.Sprintf("owner=%v", m.owner))
-		}
-		if m.lockWord.Load() == 0 {
-			s.atoms.TAS(&m.lockWord)
-			m.ownerWord.Store(int64(t.id))
-			m.owner = t
-			s.leaveKernel()
-			s.afterAcquire(m, t)
-			return false
-		}
-		if s.metrics != nil {
-			s.metrics.MutexContended(s.clock.Now(), t, m, m.owner)
-		}
-		if m.protocol == ProtocolInherit {
-			s.boostOwnerChain(m, t.prio)
-		}
-		t.waitingMutex = m
-		m.waiters.Enqueue(t, t.prio)
-		t.wake = wakeNone
-		k.opPhase = 1
-		if s.contBlock(k, BlockMutex, m.waitName) {
-			return true
-		}
-	}
-	// Woken: the unlocker handed us ownership directly.
-	s.cpu.ChargeInstr(instrLockResume)
-	if m.owner != t {
-		panic(fmt.Sprintf("core: %v woke from mutex %s without ownership", t, m.name))
-	}
-	t.waitingMutex = nil
-	if s.tracer != nil {
-		s.traceObj(EvMutex, t, m.name, "lock", "after contention")
-	}
-	if s.explorer != nil {
-		s.exploreLockPoint()
-	} else if s.cfg.Pervert == PervertMutexSwitch {
-		s.pervertMutexSwitch()
-	}
-	return false
-}
-
-// contDriveWait transcribes Cond.wait (Wait and TimedWait).
-func (s *System) contDriveWait(k *Cont) bool {
-	t := k.t
-	c, m := k.cv, k.mu
-	if k.opPhase == 0 {
-		if k.op == contOpTimedWait && k.d < 0 {
-			k.Err = EINVAL.Or()
-			return false
-		}
-		if m == nil || m.owner != t {
-			t.errno = EPERM
-			k.Err = EPERM.Or()
-			return false
-		}
-		if c.mutex != nil && c.mutex != m {
-			t.errno = EINVAL
-			k.Err = EINVAL.Or()
-			return false
-		}
-		if m.eng != nil {
-			t.errno = EINVAL
-			k.Err = EINVAL.Or()
-			return false
-		}
-		s.TestCancel()
-
-		s.enterKernel()
-		s.stats.CondWaits++
-		s.cpu.ChargeInstr(instrCondEnqueue)
-		c.mutex = m
-		t.waitingCond = c
-		t.condMutex = m
-		t.wake = wakeNone
-		c.waiters.Enqueue(t, t.prio)
-		s.traceObj(EvCond, t, c.name, "wait", "")
-		if s.metrics != nil {
-			s.metrics.CondWaitStart(s.clock.Now(), t, c)
-		}
-		if k.d >= 0 {
-			t.cvTag.t, t.cvTag.c = t, c
-			t.waitTimer = s.kern.SetTimerInternal(s.proc, sigalrm, k.d, &t.cvTag)
-		}
-		s.unlockForWaitLocked(m)
-		k.opPhase = 1
-		if s.contBlock(k, BlockCond, c.waitName) {
-			return true
-		}
-	}
-	// Woken. Every path below ends with the mutex held.
-	s.cpu.ChargeInstr(instrCondResume)
-	t.waitingCond = nil
-	t.condMutex = nil
-	if t.waitTimer != 0 {
-		s.kern.DisarmInternal(t.waitTimer)
-		t.waitTimer = 0
-	}
-	switch t.wake {
-	case wakeCondSignal, wakeGrant:
-	case wakeInterrupt:
-		// Spurious wakeup; the fake-call wrapper reacquired the mutex.
-	case wakeTimeout:
-		s.mutexLock(m)
-		c.dropMutexIfIdle()
-		s.TestCancel()
-		t.errno = ETIMEDOUT
-		k.Err = ETIMEDOUT.Or()
-		return false
-	case wakeCancel:
-		s.mutexLock(m)
-		c.dropMutexIfIdle()
-		s.TestCancel() // exits
-	default:
-		panic("core: condition wait woke with unexpected cause")
-	}
-	c.dropMutexIfIdle()
-	s.TestCancel()
-	return false
-}
-
-// contDriveJoin transcribes System.Join.
-func (s *System) contDriveJoin(k *Cont) bool {
-	t := k.t
-	target := k.target
-	blocked := k.opPhase != 0
-	if k.opPhase == 0 {
-		if err := s.checkThread(target); err != OK {
-			k.Err = err.Or()
-			return false
-		}
-		if target == t {
-			t.errno = EDEADLK
-			k.Err = EDEADLK.Or()
-			return false
-		}
-		if target.detached {
-			t.errno = EINVAL
-			k.Err = EINVAL.Or()
-			return false
-		}
-		s.TestCancel()
-
-		s.enterKernel()
-		if target.state == StateNew {
-			s.activateLocked(target)
-		}
-		if target.state != StateTerminated {
-			t.joinTarget = target
-			target.joiners = append(target.joiners, t)
-			t.wake = wakeNone
-			k.opPhase = 1
-			if s.contBlock(k, BlockJoin, "join "+target.String()) {
-				return true
-			}
-			blocked = true
-		} else {
-			s.leaveKernel()
-		}
-	}
-	if blocked && t.wake == wakeCancel {
-		s.TestCancel() // exits
-	}
-	k.Val = target.retval
-	if s.tracer != nil {
-		s.traceObj(EvJoin, t, target.name, strconv.Itoa(int(target.id)), "")
-	}
-	if s.spans != nil {
-		s.spans.ThreadJoined(s.clock.Now(), int32(t.id), int32(target.id),
-			t.name, target.name)
-	}
-	s.enterKernel()
-	s.reclaim(target)
-	s.leaveKernel()
-	return false
-}
-
-// contDriveFD transcribes fdBlocking (the FDOp form).
-func (s *System) contDriveFD(k *Cont) bool {
-	t := k.t
-	fd, dir, timeout, op := k.fd, k.dir, k.d, k.fdop
-	if k.opPhase == 0 {
-		s.TestCancel()
-		if timeout > 0 {
-			k.deadline = s.clock.Now().Add(timeout)
-		}
-		s.enterKernel()
-	} else if !s.contFDWake(k) {
-		return false
-	}
-	for {
-		done, more := op.Attempt()
-		if done {
-			if more {
-				s.fdWakeTop(fd, dir, "chain")
-			}
-			s.leaveKernel()
-			return false
-		}
-		if t.cancelState == CancelControlled && t.cancelPending {
-			s.leaveKernel()
-			s.TestCancel() // exits
-		}
-		if timeout > 0 {
-			rem := k.deadline.Sub(s.clock.Now())
-			if rem <= 0 {
-				s.stats.FDTimeouts++
-				if s.tracer != nil {
-					s.traceObj(EvIO, t, s.fdLabel(fd, dir), "timeout", k.what)
-				}
-				s.leaveKernel()
-				k.Err = ETIMEDOUT.Or()
-				return false
-			}
-			t.fdTag.t = t
-			t.waitTimer = s.kern.SetTimerInternal(s.proc, sigalrm, rem, &t.fdTag)
-		}
-		s.fdEnqueue(fd, dir, t)
-		t.wake = wakeNone
-		s.stats.FDWaits++
-		if s.tracer != nil {
-			s.traceObj(EvIO, t, s.fdLabel(fd, dir), "block", k.what)
-		}
-		k.blockedAt = s.clock.Now()
-		s.fdBlockedNow++
-		k.opPhase = 1
-		if s.contBlock(k, BlockFD, k.what) {
-			return true
-		}
-		if !s.contFDWake(k) {
-			return false
-		}
-	}
-}
-
-// contFDWake runs fdBlocking's post-park bookkeeping and wake switch.
-// It returns true when the wake was a designation (wakeIO) — the caller
-// retries the operation with the kernel flag set again — and false when
-// the jacket call completed with k.Err as its result.
-func (s *System) contFDWake(k *Cont) (retry bool) {
-	t := k.t
-	fd, dir := k.fd, k.dir
-	s.fdBlockedNow--
-	s.stats.FDBlockedNS += int64(s.clock.Now().Sub(k.blockedAt))
-	if s.metrics != nil {
-		s.metrics.FDBlocked(k.blockedAt, t, int(fd), dir, s.clock.Now().Sub(k.blockedAt))
-	}
-	if t.waitTimer != 0 {
-		s.kern.DisarmInternal(t.waitTimer)
-		t.waitTimer = 0
-	}
-	switch t.wake {
-	case wakeIO:
-		s.enterKernel()
-		return true
-	case wakeTimeout:
-		s.stats.FDTimeouts++
-		k.Err = ETIMEDOUT.Or()
-		return false
-	case wakeInterrupt:
-		s.stats.FDEINTRs++
-		if s.tracer != nil {
-			s.traceObj(EvIO, t, s.fdLabel(fd, dir), "eintr", k.what)
-		}
-		k.Err = EINTR.Or()
-		return false
-	case wakeCancel:
-		s.TestCancel() // exits via the cancellation machinery
-		k.Err = EINTR.Or()
-		return false
-	default:
-		panic("core: fd wait woke with unexpected cause")
-	}
 }
 
 // CreateCont starts a continuation thread whose first step is fn
-// (pthread_create for the parked-continuation representation). The
-// validation, charges, traces, and activation are identical to Create's,
-// so the two representations schedule bit-identically; only the host
-// backing differs — no context is bound until first dispatch, and
-// none is held across declared parks.
+// (pthread_create for the parked-continuation representation). It is
+// Create with a different host backing: no context is bound until first
+// dispatch, and none is held across declared parks.
 func (s *System) CreateCont(attr Attr, fn ContFunc, arg any) (*Thread, error) {
-	if fn == nil {
-		return nil, EINVAL.Or()
-	}
-	if attr.InheritSched && s.current != nil {
-		attr.Priority = s.current.basePrio
-		attr.Policy = s.current.policy
-	}
-	if attr.Priority == 0 && attr.StackSize == 0 && !sched.ValidPrio(attr.Priority) {
-		attr.Priority = sched.DefaultPrio
-	}
-	if !sched.ValidPrio(attr.Priority) {
-		return nil, EINVAL.Or()
-	}
-	if attr.StackSize != 0 && attr.StackSize < hw.MinStackSize {
-		return nil, EINVAL.Or()
-	}
-
-	s.enterKernel()
-	t := s.allocTCB(attr)
-	k := s.contArena.Get()
-	k.s, k.t, k.first, k.next, k.Arg = s, t, true, fn, arg
-	t.cont = k
-	s.addThread(t)
-	s.liveCnt++
-	s.stats.ThreadsCreated++
-	s.stats.ContThreads++
-	s.trace(EvState, t, "created", attr.Name)
-	if s.tracer != nil {
-		s.traceObj(EvFork, s.current, t.name, strconv.Itoa(int(t.id)), "")
-	}
-	if s.spans != nil && s.current != nil {
-		s.spans.ThreadForked(s.clock.Now(), int32(s.current.id), int32(t.id),
-			s.current.name, t.name)
-	}
-	if attr.Lazy {
-		t.state = StateNew
-		t.waitingFor = "activation"
-		s.mState(t)
-	} else {
-		s.activateLocked(t)
-	}
-	s.leaveKernel()
-	return t, nil
+	return s.create(attr, nil, fn, arg)
 }

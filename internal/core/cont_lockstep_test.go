@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"pthreads/internal/unixkern"
 	"pthreads/internal/vtime"
 )
 
@@ -378,4 +379,242 @@ func TestContParkedReleasesGoroutine(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
+}
+
+// lockstepUSR1 installs a do-nothing SIGUSR1 handler, so a Kill with it
+// interrupts an interruptible wait (sleep, condition wait, fd wait).
+func lockstepUSR1(s *System) {
+	s.Sigaction(unixkern.SIGUSR1, func(unixkern.Signal, *unixkern.SigInfo, *SigContext) {}, 0)
+}
+
+func TestLockstepSleepInterrupted(t *testing.T) {
+	// A handled signal cuts a 50 ms sleep short at 3 ms: Sleep returns
+	// the time left, measured from the deadline set before the park.
+	check := func(v any) {
+		if rem, _ := v.(vtime.Duration); rem.String() != "46.70ms" {
+			t.Errorf("remaining = %v, want 46.70ms", v)
+		}
+	}
+	lockstep(t,
+		func(s *System) {
+			lockstepUSR1(s)
+			th, _ := s.Create(lockstepAttr(s, "w", 1), func(any) any {
+				return s.Sleep(50 * vtime.Millisecond)
+			}, nil)
+			s.Sleep(3 * vtime.Millisecond)
+			s.Kill(th, unixkern.SIGUSR1)
+			v, _ := s.Join(th)
+			check(v)
+		},
+		func(s *System) {
+			lockstepUSR1(s)
+			th, _ := s.CreateCont(lockstepAttr(s, "w", 1), func(k *Cont) {
+				k.Sleep(50*vtime.Millisecond, func(k *Cont) { k.Ret = k.Rem })
+			}, nil)
+			s.Sleep(3 * vtime.Millisecond)
+			s.Kill(th, unixkern.SIGUSR1)
+			v, _ := s.Join(th)
+			check(v)
+		})
+}
+
+func TestLockstepJoinLazy(t *testing.T) {
+	// Joining a lazily created thread activates it inside the join.
+	lazy := func(s *System) *Thread {
+		attr := lockstepAttr(s, "lazy", -1)
+		attr.Lazy = true
+		th, _ := s.Create(attr, func(any) any { return 7 }, nil)
+		return th
+	}
+	lockstep(t,
+		func(s *System) {
+			target := lazy(s)
+			th, _ := s.Create(lockstepAttr(s, "j", 1), func(any) any {
+				v, _ := s.Join(target)
+				return v
+			}, nil)
+			if v, _ := s.Join(th); v != 7 {
+				t.Errorf("join = %v", v)
+			}
+		},
+		func(s *System) {
+			target := lazy(s)
+			th, _ := s.CreateCont(lockstepAttr(s, "j", 1), func(k *Cont) {
+				k.Join(target, func(k *Cont) { k.Ret = k.Val })
+			}, nil)
+			if v, _ := s.Join(th); v != 7 {
+				t.Errorf("join = %v", v)
+			}
+		})
+}
+
+func TestLockstepJoinCancelled(t *testing.T) {
+	// The joiner is cancelled while blocked in Join; the target lives on
+	// and is joined by main afterwards.
+	scenario := func(joiner func(s *System, target *Thread) *Thread) func(s *System) {
+		return func(s *System) {
+			target, _ := s.Create(lockstepAttr(s, "target", -1), func(any) any {
+				s.Sleep(5 * vtime.Millisecond)
+				return 1
+			}, nil)
+			th := joiner(s, target)
+			s.Compute(vtime.Millisecond)
+			s.Cancel(th)
+			if v, _ := s.Join(th); v != Canceled {
+				t.Errorf("joiner = %v", v)
+			}
+			if v, err := s.Join(target); v != 1 || err != nil {
+				t.Errorf("target = %v, %v", v, err)
+			}
+		}
+	}
+	lockstep(t,
+		scenario(func(s *System, target *Thread) *Thread {
+			th, _ := s.Create(lockstepAttr(s, "j", 1), func(any) any {
+				s.Join(target)
+				return "never"
+			}, nil)
+			return th
+		}),
+		scenario(func(s *System, target *Thread) *Thread {
+			th, _ := s.CreateCont(lockstepAttr(s, "j", 1), func(k *Cont) {
+				k.Join(target, func(k *Cont) { k.Ret = "never" })
+			}, nil)
+			return th
+		}))
+}
+
+func TestLockstepMutexInheritTwoWaiters(t *testing.T) {
+	// Two waiters at different priorities boost the owner in turn; the
+	// unlock hands the mutex to the higher one first.
+	scenario := func(waiter func(s *System, m *Mutex, name string, dprio int) *Thread) func(s *System) {
+		return func(s *System) {
+			m := s.MustMutex(MutexAttr{Name: "m", Protocol: ProtocolInherit})
+			m.Lock()
+			a := waiter(s, m, "a", 1)
+			b := waiter(s, m, "b", 2)
+			s.Compute(vtime.Millisecond)
+			m.Unlock()
+			s.Join(a)
+			s.Join(b)
+		}
+	}
+	lockstep(t,
+		scenario(func(s *System, m *Mutex, name string, dprio int) *Thread {
+			th, _ := s.Create(lockstepAttr(s, name, dprio), func(any) any {
+				m.Lock()
+				s.Compute(vtime.Millisecond)
+				m.Unlock()
+				return nil
+			}, nil)
+			return th
+		}),
+		scenario(func(s *System, m *Mutex, name string, dprio int) *Thread {
+			th, _ := s.CreateCont(lockstepAttr(s, name, dprio), func(k *Cont) {
+				k.Lock(m, func(k *Cont) {
+					s.Compute(vtime.Millisecond)
+					m.Unlock()
+				})
+			}, nil)
+			return th
+		}))
+}
+
+func TestLockstepLockErrors(t *testing.T) {
+	// Relocking an owned mutex is EDEADLK; locking a ceiling mutex from
+	// above its ceiling is EINVAL. Both set errno.
+	mutexes := func(s *System) (*Mutex, *Mutex) {
+		m := s.MustMutex(MutexAttr{Name: "m"})
+		c := s.MustMutex(MutexAttr{Name: "c", Protocol: ProtocolCeiling, Ceiling: s.Self().Priority()})
+		return m, c
+	}
+	check := func(s *System, deadlk, inval error) {
+		if e, _ := AsErrno(deadlk); e != EDEADLK {
+			t.Errorf("relock = %v", deadlk)
+		}
+		if e, _ := AsErrno(inval); e != EINVAL {
+			t.Errorf("lock above ceiling = %v", inval)
+		}
+		if s.Errno() != EINVAL {
+			t.Errorf("errno = %v", s.Errno())
+		}
+	}
+	lockstep(t,
+		func(s *System) {
+			m, c := mutexes(s)
+			th, _ := s.Create(lockstepAttr(s, "w", 1), func(any) any {
+				m.Lock()
+				deadlk := m.Lock()
+				inval := c.Lock()
+				check(s, deadlk, inval)
+				m.Unlock()
+				return nil
+			}, nil)
+			s.Join(th)
+		},
+		func(s *System) {
+			m, c := mutexes(s)
+			th, _ := s.CreateCont(lockstepAttr(s, "w", 1), func(k *Cont) {
+				k.Lock(m, func(k *Cont) {
+					k.Lock(m, func(k *Cont) {
+						deadlk := k.Err
+						k.Lock(c, func(k *Cont) {
+							check(s, deadlk, k.Err)
+							m.Unlock()
+						})
+					})
+				})
+			}, nil)
+			s.Join(th)
+		})
+}
+
+func TestLockstepCondErrorsAndInterrupt(t *testing.T) {
+	// A wait without the mutex held is EPERM. A handled signal then
+	// interrupts a proper wait: the wrapper reacquires the mutex and the
+	// wait returns nil, a spurious wakeup.
+	check := func(s *System, eperm, spurious error) {
+		if e, _ := AsErrno(eperm); e != EPERM {
+			t.Errorf("wait without mutex = %v", eperm)
+		}
+		if spurious != nil {
+			t.Errorf("interrupted wait = %v", spurious)
+		}
+	}
+	lockstep(t,
+		func(s *System) {
+			lockstepUSR1(s)
+			m := s.MustMutex(MutexAttr{Name: "m"})
+			c := s.NewCond("c")
+			th, _ := s.Create(lockstepAttr(s, "w", 1), func(any) any {
+				eperm := c.Wait(m)
+				m.Lock()
+				spurious := c.Wait(m)
+				check(s, eperm, spurious)
+				m.Unlock()
+				return nil
+			}, nil)
+			s.Compute(vtime.Millisecond)
+			s.Kill(th, unixkern.SIGUSR1)
+			s.Join(th)
+		},
+		func(s *System) {
+			lockstepUSR1(s)
+			m := s.MustMutex(MutexAttr{Name: "m"})
+			c := s.NewCond("c")
+			th, _ := s.CreateCont(lockstepAttr(s, "w", 1), func(k *Cont) {
+				k.CondWait(c, m, func(k *Cont) {
+					eperm := k.Err
+					k.Lock(m, func(k *Cont) {
+						k.CondWait(c, m, func(k *Cont) {
+							check(s, eperm, k.Err)
+							m.Unlock()
+						})
+					})
+				})
+			}, nil)
+			s.Compute(vtime.Millisecond)
+			s.Kill(th, unixkern.SIGUSR1)
+			s.Join(th)
+		})
 }

@@ -13,7 +13,15 @@ import (
 // StateNew and activated — with its resources allocated — only when first
 // needed.
 func (s *System) Create(attr Attr, fn func(arg any) any, arg any) (*Thread, error) {
-	if fn == nil {
+	return s.create(attr, fn, nil, arg)
+}
+
+// create is Create and CreateCont: exactly one of fn (a goroutine-backed
+// body) and step (a continuation thread's first step) is set. The two
+// representations share every check, charge, trace and the activation,
+// so they schedule bit-identically.
+func (s *System) create(attr Attr, fn func(arg any) any, step ContFunc, arg any) (*Thread, error) {
+	if fn == nil && step == nil {
 		return nil, EINVAL.Or()
 	}
 	if attr.InheritSched && s.current != nil {
@@ -32,8 +40,15 @@ func (s *System) Create(attr Attr, fn func(arg any) any, arg any) (*Thread, erro
 
 	s.enterKernel()
 	t := s.allocTCB(attr)
-	t.fn = fn
-	t.arg = arg
+	if step != nil {
+		k := s.contArena.Get()
+		k.s, k.t, k.first, k.next, k.Arg = s, t, true, step, arg
+		t.cont = k
+		s.stats.ContThreads++
+	} else {
+		t.fn = fn
+		t.arg = arg
+	}
 	s.addThread(t)
 	s.liveCnt++
 	s.stats.ThreadsCreated++
@@ -102,17 +117,32 @@ func (s *System) SetErrno(e Errno) { s.current.errno = e }
 // interruption point for cancellation. Joining a lazy thread activates
 // it.
 func (s *System) Join(t *Thread) (any, error) {
-	if err := s.checkThread(t); err != OK {
-		return nil, err.Or()
-	}
 	cur := s.current
+	block, err := s.joinPrepare(cur, t)
+	if err != nil {
+		return nil, err
+	}
+	if block {
+		s.blockCurrent(BlockJoin, "join "+t.String())
+	}
+	return s.joinFinish(cur, t, block), nil
+}
+
+// joinPrepare is Join up to the park: the argument checks (err set),
+// then, inside the kernel, activation of a lazy target and, unless it
+// already terminated (the kernel is left and block is false), cur
+// queued on it.
+func (s *System) joinPrepare(cur, t *Thread) (block bool, err error) {
+	if e := s.checkThread(t); e != OK {
+		return false, e.Or()
+	}
 	if t == cur {
 		cur.errno = EDEADLK
-		return nil, EDEADLK.Or()
+		return false, EDEADLK.Or()
 	}
 	if t.detached {
 		cur.errno = EINVAL
-		return nil, EINVAL.Or()
+		return false, EINVAL.Or()
 	}
 	s.TestCancel()
 
@@ -120,18 +150,22 @@ func (s *System) Join(t *Thread) (any, error) {
 	if t.state == StateNew {
 		s.activateLocked(t)
 	}
-	if t.state != StateTerminated {
-		cur.joinTarget = t
-		t.joiners = append(t.joiners, cur)
-		cur.wake = wakeNone
-		s.blockCurrent(BlockJoin, "join "+t.String())
-		if cur.wake == wakeCancel {
-			s.TestCancel() // exits
-		}
-	} else {
+	if t.state == StateTerminated {
 		s.leaveKernel()
+		return false, nil
 	}
+	cur.joinTarget = t
+	t.joiners = append(t.joiners, cur)
+	cur.wake = wakeNone
+	return true, nil
+}
 
+// joinFinish is Join after the target terminated (after the park, when
+// blocked): it reclaims the target and returns its exit status.
+func (s *System) joinFinish(cur, t *Thread, blocked bool) any {
+	if blocked && cur.wake == wakeCancel {
+		s.TestCancel() // exits
+	}
 	ret := t.retval
 	if s.tracer != nil {
 		// Join edge for the race checker: target → joiner.
@@ -144,7 +178,7 @@ func (s *System) Join(t *Thread) (any, error) {
 	s.enterKernel()
 	s.reclaim(t)
 	s.leaveKernel()
-	return ret, nil
+	return ret
 }
 
 // Detach marks the thread detached (pthread_detach): its resources are

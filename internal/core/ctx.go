@@ -229,8 +229,7 @@ func (s *System) runThread(t *Thread) {
 		}
 	} else {
 		// First dispatch: the tail of the kernel exit that switched here.
-		s.drainFakeCalls()
-		s.armSliceOnUserReturn()
+		s.userReturn(false)
 		s.exitCurrent(s.callBody(t))
 	}
 	completed = true

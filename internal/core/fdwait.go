@@ -163,88 +163,130 @@ func (s *System) FDBlockingOp(fd unixkern.FD, dir FDDir, what string, timeout vt
 // fdBlocking is the shared jacket loop; exactly one of op and attempt is
 // non-nil. The virtual costs charged are identical for both forms.
 func (s *System) fdBlocking(fd unixkern.FD, dir FDDir, what string, timeout vtime.Duration, op FDOp, attempt func() (done, more bool)) error {
+	w := waitState{fd: fd, dir: dir, what: what, d: timeout, fdop: op}
+	s.fdPrepare(&w)
+	_, err := s.fdLoop(s.current, &w, attempt, nil)
+	return err
+}
+
+// fdPrepare opens a jacket call: it is an interruption point, fixes the
+// deadline of a call bounded by w.d, and enters the kernel for the
+// first attempt.
+func (s *System) fdPrepare(w *waitState) {
 	s.TestCancel()
-	t := s.current
-	var deadline vtime.Time
-	if timeout > 0 {
-		deadline = s.clock.Now().Add(timeout)
+	if w.d > 0 {
+		w.deadline = s.clock.Now().Add(w.d)
 	}
 	s.enterKernel()
+}
+
+// fdLoop runs the jacket loop from an attempt inside the kernel:
+// attempt, and while the operation would block, enqueue, park and act
+// on the wake. It returns the call's result once the call completes.
+// A continuation thread (k non-nil) parks through contBlock instead of
+// blockCurrent; when its context was released fdLoop reports parked,
+// and the thread re-enters through fdWake once designated.
+func (s *System) fdLoop(t *Thread, w *waitState, attempt func() (done, more bool), k *Cont) (parked bool, err error) {
 	for {
-		var done, more bool
-		if op != nil {
-			done, more = op.Attempt()
-		} else {
-			done, more = attempt()
+		if block, err := s.fdAttempt(t, w, attempt); !block {
+			return false, err
 		}
-		if done {
-			if more {
-				s.fdWakeTop(fd, dir, "chain")
-			}
-			s.leaveKernel()
-			return nil
+		if k == nil {
+			s.blockCurrent(BlockFD, w.what)
+		} else if s.contBlock(k, BlockFD, w.what) {
+			return true, nil
 		}
-		// A cancellation that arrived while this thread was designated
-		// (ready but not yet dispatched) must not be followed by an
-		// unwakeable re-block: act on it here, at the interruption point.
-		if t.cancelState == CancelControlled && t.cancelPending {
-			s.leaveKernel()
-			s.TestCancel() // exits
+		if retry, err := s.fdWake(t, w); !retry {
+			return false, err
 		}
-		if timeout > 0 {
-			rem := deadline.Sub(s.clock.Now())
-			if rem <= 0 {
-				s.stats.FDTimeouts++
-				if s.tracer != nil {
-					s.traceObj(EvIO, t, s.fdLabel(fd, dir), "timeout", what)
-				}
-				s.leaveKernel()
-				return ETIMEDOUT.Or()
-			}
-			t.fdTag.t = t
-			t.waitTimer = s.kern.SetTimerInternal(s.proc, sigalrm, rem, &t.fdTag)
+	}
+}
+
+// fdAttempt runs one attempt of the operation inside the kernel. It
+// reports false, with the call's result and the kernel left, when the
+// operation completed or the deadline passed; otherwise t is queued on
+// (w.fd, w.dir), with the remaining time armed, and must park.
+func (s *System) fdAttempt(t *Thread, w *waitState, attempt func() (done, more bool)) (block bool, err error) {
+	var done, more bool
+	if attempt != nil {
+		done, more = attempt()
+	} else {
+		done, more = w.fdop.Attempt()
+	}
+	if done {
+		if more {
+			s.fdWakeTop(w.fd, w.dir, "chain")
 		}
-		s.fdEnqueue(fd, dir, t)
-		t.wake = wakeNone
-		s.stats.FDWaits++
-		if s.tracer != nil {
-			s.traceObj(EvIO, t, s.fdLabel(fd, dir), "block", what)
-		}
-		blockedAt := s.clock.Now()
-		s.fdBlockedNow++
-		s.blockCurrent(BlockFD, what)
-		s.fdBlockedNow--
-		s.stats.FDBlockedNS += int64(s.clock.Now().Sub(blockedAt))
-		if s.metrics != nil {
-			s.metrics.FDBlocked(blockedAt, t, int(fd), dir, s.clock.Now().Sub(blockedAt))
-		}
-		if t.waitTimer != 0 {
-			s.kern.DisarmInternal(t.waitTimer)
-			t.waitTimer = 0
-		}
-		switch t.wake {
-		case wakeIO:
-			// Designated by a completion: retry the operation. Another
-			// thread may have consumed the readiness first, in which case
-			// the loop simply re-blocks.
-			s.enterKernel()
-		case wakeTimeout:
+		s.leaveKernel()
+		return false, nil
+	}
+	// A cancellation that arrived while this thread was designated
+	// (ready but not yet dispatched) must not be followed by an
+	// unwakeable re-block: act on it here, at the interruption point.
+	if t.cancelState == CancelControlled && t.cancelPending {
+		s.leaveKernel()
+		s.TestCancel() // exits
+	}
+	if w.d > 0 {
+		rem := w.deadline.Sub(s.clock.Now())
+		if rem <= 0 {
 			s.stats.FDTimeouts++
-			return ETIMEDOUT.Or()
-		case wakeInterrupt:
-			// A user signal handler interrupted the wait; it already ran
-			// (fake call) and the jacket call reports EINTR.
-			s.stats.FDEINTRs++
 			if s.tracer != nil {
-				s.traceObj(EvIO, t, s.fdLabel(fd, dir), "eintr", what)
+				s.traceObj(EvIO, t, s.fdLabel(w.fd, w.dir), "timeout", w.what)
 			}
-			return EINTR.Or()
-		case wakeCancel:
-			s.TestCancel() // exits via the cancellation machinery
-			return EINTR.Or()
-		default:
-			panic("core: fd wait woke with unexpected cause")
+			s.leaveKernel()
+			return false, ETIMEDOUT.Or()
 		}
+		t.fdTag.t = t
+		t.waitTimer = s.kern.SetTimerInternal(s.proc, sigalrm, rem, &t.fdTag)
+	}
+	s.fdEnqueue(w.fd, w.dir, t)
+	t.wake = wakeNone
+	s.stats.FDWaits++
+	if s.tracer != nil {
+		s.traceObj(EvIO, t, s.fdLabel(w.fd, w.dir), "block", w.what)
+	}
+	w.blockedAt = s.clock.Now()
+	s.fdBlockedNow++
+	return true, nil
+}
+
+// fdWake is the jacket loop after a park: it accounts the wait and acts
+// on the wake cause. It reports retry, with the kernel entered again,
+// when a completion designated t; otherwise the call ends with err.
+func (s *System) fdWake(t *Thread, w *waitState) (retry bool, err error) {
+	s.fdBlockedNow--
+	s.stats.FDBlockedNS += int64(s.clock.Now().Sub(w.blockedAt))
+	if s.metrics != nil {
+		s.metrics.FDBlocked(w.blockedAt, t, int(w.fd), w.dir, s.clock.Now().Sub(w.blockedAt))
+	}
+	if t.waitTimer != 0 {
+		s.kern.DisarmInternal(t.waitTimer)
+		t.waitTimer = 0
+	}
+	switch t.wake {
+	case wakeIO:
+		// Designated by a completion: retry the operation. Another
+		// thread may have consumed the readiness first, in which case
+		// the loop simply re-blocks.
+		s.enterKernel()
+		return true, nil
+	case wakeTimeout:
+		s.stats.FDTimeouts++
+		return false, ETIMEDOUT.Or()
+	case wakeInterrupt:
+		// A user signal handler interrupted the wait; it already ran
+		// (fake call) and the jacket call reports EINTR.
+		s.stats.FDEINTRs++
+		if s.tracer != nil {
+			s.traceObj(EvIO, t, s.fdLabel(w.fd, w.dir), "eintr", w.what)
+		}
+		return false, EINTR.Or()
+	case wakeCancel:
+		s.TestCancel() // exits via the cancellation machinery
+		return false, EINTR.Or()
+	default:
+		panic("core: fd wait woke with unexpected cause")
 	}
 }
 

@@ -17,24 +17,40 @@ import (
 // (like sleep(3) returning nonzero after EINTR), or 0 after a full sleep.
 // Sleep is an interruption point for cancellation.
 func (s *System) Sleep(d vtime.Duration) vtime.Duration {
-	s.TestCancel()
-	if d <= 0 {
+	t := s.current
+	w := waitState{d: d}
+	if !s.sleepPrepare(t, &w) {
 		return 0
 	}
-	t := s.current
-	deadline := s.clock.Now().Add(d)
+	s.blockCurrent(BlockSleep, w.what)
+	return s.sleepFinish(t, &w)
+}
+
+// sleepPrepare is Sleep up to the park. It reports false when w.d asks
+// for no sleep; otherwise it arms t's wake timer inside the kernel and
+// records the deadline and the wait label in w.
+func (s *System) sleepPrepare(t *Thread, w *waitState) (block bool) {
+	s.TestCancel()
+	if w.d <= 0 {
+		return false
+	}
+	w.deadline = s.clock.Now().Add(w.d)
 
 	s.enterKernel()
-	t.waitTimer = s.kern.SetTimer(s.proc, sigalrm, d, t, false)
+	t.waitTimer = s.kern.SetTimer(s.proc, sigalrm, w.d, t, false)
 	t.wake = wakeNone
 	// The duration-carrying label is only rendered for traces; the plain
 	// label keeps an untraced sleep storm allocation-free.
-	what := "sleep"
+	w.what = "sleep"
 	if s.tracer != nil {
-		what = fmt.Sprintf("sleep %v", d)
+		w.what = fmt.Sprintf("sleep %v", w.d)
 	}
-	s.blockCurrent(BlockSleep, what)
+	return true
+}
 
+// sleepFinish is Sleep after the park: it returns the time left before
+// w.deadline when a handler cut the sleep short, and 0 otherwise.
+func (s *System) sleepFinish(t *Thread, w *waitState) vtime.Duration {
 	switch t.wake {
 	case wakeTimer:
 		return 0
@@ -42,7 +58,7 @@ func (s *System) Sleep(d vtime.Duration) vtime.Duration {
 		s.TestCancel() // exits
 		return 0
 	case wakeInterrupt:
-		if rem := deadline.Sub(s.clock.Now()); rem > 0 {
+		if rem := w.deadline.Sub(s.clock.Now()); rem > 0 {
 			return rem
 		}
 		return 0

@@ -67,7 +67,19 @@ func (s *System) leaveKernel() {
 	} else {
 		s.dispatch()
 	}
-	s.pollOutsideKernel()
+	s.userReturn(true)
+}
+
+// userReturn is the tail of a kernel exit, run by the thread that holds
+// the processor after it, right before control reaches its user code:
+// deliver the events cost charging crossed while the kernel flag was
+// set, run pending fake calls, arm the time slice. A thread's first
+// dispatch skips the poll; events crossed meanwhile are delivered at its
+// next poll point.
+func (s *System) userReturn(poll bool) {
+	if poll {
+		s.pollOutsideKernel()
+	}
 	s.drainFakeCalls()
 	s.armSliceOnUserReturn()
 }
@@ -372,6 +384,13 @@ func (s *System) makeReady(t *Thread, atHead bool) {
 // the kernel flag clear and fake calls drained) once the thread is
 // dispatched again.
 func (s *System) blockCurrent(reason BlockReason, what string) {
+	s.markBlocked(reason, what)
+	s.leaveKernel()
+}
+
+// markBlocked marks the current thread blocked and requests a dispatch
+// at the kernel exit. Runs in the kernel.
+func (s *System) markBlocked(reason BlockReason, what string) {
 	t := s.current
 	t.state = StateBlocked
 	t.blockReason = reason
@@ -380,7 +399,25 @@ func (s *System) blockCurrent(reason BlockReason, what string) {
 	s.trace(EvState, t, "blocked", what)
 	s.mState(t)
 	s.dispatcherFlag = true
-	s.leaveKernel()
+}
+
+// waitState holds what a blocking call keeps across its park: its
+// operands and the bookkeeping its prepare half hands to its finish
+// half. On the goroutine path Sleep and the fd jacket keep one on the
+// stack (the other primitives pass their operands as parameters); a
+// continuation thread keeps it in its Cont, which outlives the released
+// context.
+type waitState struct {
+	d         vtime.Duration // sleep length, or the cond or fd timeout
+	deadline  vtime.Time
+	blockedAt vtime.Time
+	fd        unixkern.FD
+	dir       FDDir
+	what      string // wait label: blockCurrent's what
+	fdop      FDOp
+	mu        *Mutex
+	cv        *Cond
+	target    *Thread
 }
 
 // setPriority changes a thread's current priority, repositioning it in
@@ -476,15 +513,20 @@ func (s *System) cancelSliceTimer() {
 // Yield voluntarily releases the processor: the calling thread moves to
 // the tail of its priority queue (sched_yield).
 func (s *System) Yield() {
+	s.yieldPrepare(s.current)
+	s.leaveKernel()
+}
+
+// yieldPrepare is Yield up to the kernel exit: t, the current thread,
+// goes to the tail of its ready queue inside the kernel.
+func (s *System) yieldPrepare(t *Thread) {
 	s.enterKernel()
-	t := s.current
 	t.state = StateReady
 	s.cpu.ChargeInstr(instrReadyQueueOp)
 	s.ready.Enqueue(t, t.prio)
 	s.trace(EvState, t, "ready", "yield")
 	s.mState(t)
 	s.dispatcherFlag = true
-	s.leaveKernel()
 }
 
 // Compute models d worth of user computation by the calling thread.

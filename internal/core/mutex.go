@@ -153,25 +153,13 @@ func (m *Mutex) Owner() *Thread { return m.owner }
 func (m *Mutex) Lock() error {
 	s := m.s
 	t := s.current
-	if m.owner == t {
-		t.errno = EDEADLK
-		return EDEADLK.Or()
+	if err := s.lockCheck(m, t); err != nil {
+		return err
 	}
-	if m.protocol == ProtocolCeiling && t.prio > m.ceiling {
-		t.errno = EINVAL
-		return EINVAL.Or()
+	if s.lockPrepare(m, t) {
+		s.blockCurrent(BlockMutex, m.waitName)
+		s.lockFinish(m, t)
 	}
-	if m.eng != nil {
-		s.engineLock(m)
-		return nil
-	}
-	// Uncontended fast path, entirely in user mode: the Figure 4
-	// sequence plus ownership bookkeeping, no kernel entry.
-	if s.acquireAtomic(m, t) {
-		s.afterAcquire(m, t)
-		return nil
-	}
-	s.lockSlow(m)
 	return nil
 }
 
@@ -180,13 +168,8 @@ func (m *Mutex) Lock() error {
 func (m *Mutex) TryLock() error {
 	s := m.s
 	t := s.current
-	if m.owner == t {
-		t.errno = EDEADLK
-		return EDEADLK.Or()
-	}
-	if m.protocol == ProtocolCeiling && t.prio > m.ceiling {
-		t.errno = EINVAL
-		return EINVAL.Or()
+	if err := s.lockCheck(m, t); err != nil {
+		return err
 	}
 	if m.eng != nil {
 		if !s.engineTryLock(m) {
@@ -200,6 +183,20 @@ func (m *Mutex) TryLock() error {
 		return EBUSY.Or()
 	}
 	s.afterAcquire(m, t)
+	return nil
+}
+
+// lockCheck runs the lock operations' argument checks, setting errno on
+// failure.
+func (s *System) lockCheck(m *Mutex, t *Thread) error {
+	if m.owner == t {
+		t.errno = EDEADLK
+		return EDEADLK.Or()
+	}
+	if m.protocol == ProtocolCeiling && t.prio > m.ceiling {
+		t.errno = EINVAL
+		return EINVAL.Or()
+	}
 	return nil
 }
 
@@ -303,26 +300,32 @@ func (s *System) afterAcquire(m *Mutex, t *Thread) {
 	}
 }
 
-// mutexLock is the full lock path, shared by the fake-call wrapper's
-// conditional-wait reacquisition and the timeout/cancel paths of the
-// condition wait.
+// mutexLock is Lock without the argument checks, shared by the
+// fake-call wrapper's conditional-wait reacquisition and the
+// timeout/cancel paths of the condition wait.
 func (s *System) mutexLock(m *Mutex) {
 	t := s.current
-	if m.eng != nil {
-		s.engineLock(m)
-		return
+	if s.lockPrepare(m, t) {
+		s.blockCurrent(BlockMutex, m.waitName)
+		s.lockFinish(m, t)
 	}
-	if s.acquireAtomic(m, t) {
-		s.afterAcquire(m, t)
-		return
-	}
-	s.lockSlow(m)
 }
 
-// lockSlow is the contended half of the lock operation: enter the kernel
-// and suspend until the unlocker hands over ownership.
-func (s *System) lockSlow(m *Mutex) {
-	t := s.current
+// lockPrepare is the lock path up to the park. It reports false when t
+// acquired m at once (an engine mutex, the uncontended user-level fast
+// path, or the in-kernel re-test); otherwise t is queued on m inside the
+// kernel and must park until the unlocker hands it ownership.
+func (s *System) lockPrepare(m *Mutex, t *Thread) (block bool) {
+	if m.eng != nil {
+		s.engineLock(m)
+		return false
+	}
+	// Uncontended fast path, entirely in user mode: the Figure 4
+	// sequence plus ownership bookkeeping, no kernel entry.
+	if s.acquireAtomic(m, t) {
+		s.afterAcquire(m, t)
+		return false
+	}
 
 	// Contention: enter the kernel and suspend.
 	s.enterKernel()
@@ -340,7 +343,7 @@ func (s *System) lockSlow(m *Mutex) {
 		m.owner = t
 		s.leaveKernel()
 		s.afterAcquire(m, t)
-		return
+		return false
 	}
 
 	if s.metrics != nil {
@@ -354,11 +357,13 @@ func (s *System) lockSlow(m *Mutex) {
 	t.waitingMutex = m
 	m.waiters.Enqueue(t, t.prio)
 	t.wake = wakeNone
-	s.blockCurrent(BlockMutex, m.waitName)
+	return true
+}
 
-	// Woken: the unlocker handed us ownership directly. Resuming the
-	// interrupted lock operation re-establishes its frame and re-checks
-	// the acquisition.
+// lockFinish is the lock path after the park: the unlocker handed t
+// ownership directly. Resuming the interrupted lock operation
+// re-establishes its frame and re-checks the acquisition.
+func (s *System) lockFinish(m *Mutex, t *Thread) {
 	s.cpu.ChargeInstr(instrLockResume)
 	if m.owner != t {
 		panic(fmt.Sprintf("core: %v woke from mutex %s without ownership", t, m.name))

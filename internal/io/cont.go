@@ -2,7 +2,6 @@ package io
 
 import (
 	"pthreads/internal/core"
-	"pthreads/internal/net"
 	"pthreads/internal/obs"
 	"pthreads/internal/vtime"
 )
@@ -10,10 +9,9 @@ import (
 // Continuation entry points for the jacket layer. ContRead is Conn.Read
 // with the suspension expressed as a declared continuation op (k.FDOp):
 // a thread blocked in it holds no goroutine, only its TCB plus the
-// pooled per-call state below. The jacket bookkeeping — span, pooled
-// attempt struct, error mapping — is identical to Read's, threaded
-// through k.Env instead of a closure so steady-state reads allocate
-// nothing.
+// pooled per-call state below. Both share Read's halves around the
+// jacket call (readBegin, readEnd), threaded through k.Env instead of a
+// closure so steady-state reads allocate nothing.
 
 // contReadState carries one ContRead call's jacket state across the
 // park. Arena-backed and recycled when the call completes.
@@ -44,44 +42,21 @@ func (c *Conn) contRead(k *core.Cont, max int, d vtime.Duration, then core.ContF
 		then(k)
 		return
 	}
-	ref := c.x.openConnSpan(obs.KRead, c.readWhat, c.trace, c.parent)
-	op := c.x.getOp(c.nc, false, max)
-	if ref != obs.NoSpan {
-		sp := c.x.spans.Span(ref)
-		op.sctx = net.SpanCtx{Trace: sp.Trace, Span: sp.ID}
-	}
-	st := c.x.getContRead()
+	op, ref := c.readBegin(max)
+	st := c.x.contReads.Get()
 	st.c, st.op, st.ref, st.then, st.prevEnv = c, op, ref, then, k.Env
 	k.Env = st
 	k.FDOp(c.nc.FD(), core.FDRead, c.readWhat, d, op, contReadDone)
 }
 
-// contReadDone is the completion step: the post-park half of Conn.read,
-// shared by every ContRead (no per-call closure).
+// contReadDone is the completion step shared by every ContRead (no
+// per-call closure): readEnd on the jacket result, then the caller's
+// continuation.
 func contReadDone(k *core.Cont) {
 	st := k.Env.(*contReadState)
 	c, op, ref, then := st.c, st.op, st.ref, st.then
 	k.Env = st.prevEnv
-	c.x.putContRead(st)
-	n, opErr := op.n, op.opErr
-	c.x.putOp(op)
-	if err := k.Err; err != nil {
-		c.x.closeSpan(ref, err)
-		k.N = 0
-		then(k)
-		return
-	}
-	rerr := mapErr(opErr)
-	if ref != obs.NoSpan {
-		c.x.spans.Adopt(ref, c.nc.Flow())
-		c.x.closeSpan(ref, rerr)
-	}
-	k.N, k.Err = n, rerr
+	c.x.contReads.Put(st)
+	k.N, k.Err = c.readEnd(op, ref, k.Err)
 	then(k)
 }
-
-// getContRead checks a read-state record out of the arena.
-func (x *IO) getContRead() *contReadState { return x.contReads.Get() }
-
-// putContRead recycles a completed read-state record.
-func (x *IO) putContRead(st *contReadState) { x.contReads.Put(st) }

@@ -6,6 +6,7 @@ import (
 
 	"pthreads/internal/core"
 	"pthreads/internal/net"
+	"pthreads/internal/unixkern"
 	"pthreads/internal/vtime"
 )
 
@@ -185,4 +186,77 @@ func TestLockstepContReadTimeout(t *testing.T) {
 			return th
 		}),
 	)
+}
+
+// TestLockstepContReadInterrupted ends a parked read twice: once with a
+// handled signal (EINTR after the handler ran) and once with a
+// cancellation (the reader exits at the interruption point).
+func TestLockstepContReadInterrupted(t *testing.T) {
+	scenario := func(read func(s *core.System, c *Conn) *core.Thread, stop func(s *core.System, th *core.Thread), want any) func(s *core.System, x *IO) {
+		return func(s *core.System, x *IO) {
+			s.Sigaction(unixkern.SIGUSR1, func(unixkern.Signal, *unixkern.SigInfo, *core.SigContext) {}, 0)
+			l, err := x.Listen("srv", 4)
+			if err != nil {
+				t.Fatalf("listen: %v", err)
+			}
+			c, err := x.Dial("srv")
+			if err != nil {
+				t.Fatalf("dial: %v", err)
+			}
+			sc, err := l.Accept()
+			if err != nil {
+				t.Fatalf("accept: %v", err)
+			}
+			th := read(s, c)
+			s.Sleep(vtime.Millisecond) // reader must park first
+			stop(s, th)
+			if v, _ := s.Join(th); v != want {
+				t.Errorf("reader = %v, want %v", v, want)
+			}
+			c.Close()
+			sc.Close()
+			l.Close()
+		}
+	}
+	isEINTR := func(err error) bool {
+		e, ok := core.AsErrno(err)
+		return ok && e == core.EINTR
+	}
+	attr := core.DefaultAttr()
+	attr.Name = "reader"
+	goroutine := func(s *core.System, c *Conn) *core.Thread {
+		th, err := s.Create(attr, func(any) any {
+			n, err := c.Read(8)
+			if !isEINTR(err) || n != 0 {
+				t.Errorf("Read = %d, %v; want 0, EINTR", n, err)
+			}
+			return "eintr"
+		}, nil)
+		if err != nil {
+			t.Fatalf("create: %v", err)
+		}
+		return th
+	}
+	cont := func(s *core.System, c *Conn) *core.Thread {
+		th, err := s.CreateCont(attr, func(k *core.Cont) {
+			c.ContRead(k, 8, func(k *core.Cont) {
+				if !isEINTR(k.Err) || k.N != 0 {
+					t.Errorf("ContRead = %d, %v; want 0, EINTR", k.N, k.Err)
+				}
+				k.Ret = "eintr"
+			})
+		}, nil)
+		if err != nil {
+			t.Fatalf("create cont: %v", err)
+		}
+		return th
+	}
+	kill := func(s *core.System, th *core.Thread) { s.Kill(th, unixkern.SIGUSR1) }
+	cancel := func(s *core.System, th *core.Thread) { s.Cancel(th) }
+	t.Run("signal", func(t *testing.T) {
+		ioLockstep(t, scenario(goroutine, kill, "eintr"), scenario(cont, kill, "eintr"))
+	})
+	t.Run("cancel", func(t *testing.T) {
+		ioLockstep(t, scenario(goroutine, cancel, core.Canceled), scenario(cont, cancel, core.Canceled))
+	})
 }

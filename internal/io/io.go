@@ -388,13 +388,25 @@ func (c *Conn) read(max int, d vtime.Duration) (int, error) {
 	if max < 0 {
 		return 0, core.EINVAL.Or()
 	}
+	op, ref := c.readBegin(max)
+	return c.readEnd(op, ref, c.x.sys.FDBlockingOp(c.nc.FD(), core.FDRead, c.readWhat, d, op))
+}
+
+// readBegin is a read up to its jacket call: it opens the read's span
+// and checks out the pooled attempt, carrying the span's context.
+func (c *Conn) readBegin(max int) (*connOp, obs.SpanRef) {
 	ref := c.x.openConnSpan(obs.KRead, c.readWhat, c.trace, c.parent)
 	op := c.x.getOp(c.nc, false, max)
 	if ref != obs.NoSpan {
 		sp := c.x.spans.Span(ref)
 		op.sctx = net.SpanCtx{Trace: sp.Trace, Span: sp.ID}
 	}
-	err := c.x.sys.FDBlockingOp(c.nc.FD(), core.FDRead, c.readWhat, d, op)
+	return op, ref
+}
+
+// readEnd is a read after its jacket call returned err: it recycles the
+// attempt, closes the span and returns the read's count and result.
+func (c *Conn) readEnd(op *connOp, ref obs.SpanRef, err error) (int, error) {
 	n, opErr := op.n, op.opErr
 	c.x.putOp(op)
 	if err != nil {

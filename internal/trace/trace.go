@@ -148,7 +148,7 @@ func (r *Recorder) HoldIntervals(name, mutex string) []Interval {
 }
 
 // WaitIntervals returns the spans during which the named thread waited
-// for the named mutex: each EvMutex "block" (a suspension in lockSlow or
+// for the named mutex: each EvMutex "block" (a contended lock's park or
 // a reacquisition after a condition signal) paired with the matching
 // "grant". A "block" resolved by a plain "lock" instead — the in-kernel
 // re-test won the mutex without suspending — is discarded, mirroring the

@@ -17,7 +17,7 @@ go build ./...
 go test ./...
 go vet ./...
 go test -race ./internal/core/ ./internal/sched/ ./internal/io/ ./internal/net/ \
-  ./internal/unixkern/ ./internal/arena/ ./internal/obs/ ./internal/fabric/
+  ./internal/unixkern/ ./internal/arena/ ./internal/obs/ ./internal/fabric/ ./internal/sem/
 
 # Schedule-exploration smoke: bounded search must find the seeded bugs
 # (deadlock, lost update), shrink them, and replay the minimized token to
@@ -140,6 +140,20 @@ awk '
       printf "alloc gate: %s reports %s allocs/op (want 0)\n", $1, $(NF-1) } }
   END { if (!found) { bad = 1; print "alloc gate: expected BenchmarkFleetTurn" }
     exit bad }' "$t/turnbench.txt"
+
+# Blocking-primitive allocation gate: a context switch, a continuation
+# switch, a contended lock, a condition signal/wait handoff and a
+# semaphore P/V pair run on pooled contexts, preallocated wait queues
+# and stack-held wait state, so each must report 0 allocs/op.
+go test -run '^$' -bench '^Benchmark(ContextSwitch|ContSwitch|MutexContention|CondSignalWait|SemaphoreSync)$' \
+  -benchmem -benchtime 20000x . > "$t/primbench.txt"
+cat "$t/primbench.txt"
+awk '
+  /^Benchmark/ { found++
+    if ($(NF-1) + 0 != 0) { bad = 1
+      printf "alloc gate: %s reports %s allocs/op (want 0)\n", $1, $(NF-1) } }
+  END { if (found < 5) { bad = 1; print "alloc gate: expected all five primitive benchmarks" }
+    exit bad }' "$t/primbench.txt"
 
 # Resident-footprint smoke (DESIGN.md §15, E32) at a reduced
 # population: RunC1M itself fails unless every thread parks as a
