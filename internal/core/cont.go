@@ -167,7 +167,7 @@ func (s *System) contBody(k *Cont) (status any, exited bool) {
 	}()
 	// A wakeup from a declared park runs the tail of the leaveKernel
 	// that handed the processor away, as a goroutine thread returning
-	// from park does; the first dispatch runs runThread's prologue.
+	// from park does; the first dispatch runs the tail callBody runs.
 	s.userReturn(!k.first)
 	k.first = false
 	if s.contSteps(k) {

@@ -418,6 +418,36 @@ func TestLockstepSleepInterrupted(t *testing.T) {
 		})
 }
 
+func TestLockstepExitFromHandlerBeforeFirstRun(t *testing.T) {
+	// A handled signal reaches a lower-priority thread before its first
+	// dispatch; the handler runs in the first dispatch's kernel-exit tail
+	// and calls Exit, so the thread exits with the handler's status
+	// without running its body.
+	exitUSR1 := func(s *System) {
+		s.Sigaction(unixkern.SIGUSR1, func(unixkern.Signal, *unixkern.SigInfo, *SigContext) {
+			s.Exit("from handler")
+		}, 0)
+	}
+	check := func(v any, err error) {
+		if v != "from handler" || err != nil {
+			t.Errorf("join = %v, %v; want the handler's exit status", v, err)
+		}
+	}
+	lockstep(t,
+		func(s *System) {
+			exitUSR1(s)
+			th, _ := s.Create(lockstepAttr(s, "w", -1), func(any) any { return "body" }, nil)
+			s.Kill(th, unixkern.SIGUSR1)
+			check(s.Join(th))
+		},
+		func(s *System) {
+			exitUSR1(s)
+			th, _ := s.CreateCont(lockstepAttr(s, "w", -1), func(k *Cont) { k.Ret = "body" }, nil)
+			s.Kill(th, unixkern.SIGUSR1)
+			check(s.Join(th))
+		})
+}
+
 func TestLockstepJoinLazy(t *testing.T) {
 	// Joining a lazily created thread activates it inside the join.
 	lazy := func(s *System) *Thread {

@@ -228,8 +228,6 @@ func (s *System) runThread(t *Thread) {
 			s.exitCurrent(status)
 		}
 	} else {
-		// First dispatch: the tail of the kernel exit that switched here.
-		s.userReturn(false)
 		s.exitCurrent(s.callBody(t))
 	}
 	completed = true

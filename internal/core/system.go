@@ -538,8 +538,9 @@ func (s *System) Shutdown(status any) {
 	panic(killPanic{})
 }
 
-// callBody runs the thread function, converting Exit unwinding into a
-// return value.
+// callBody runs the tail of the kernel exit that first dispatched t,
+// then the thread function, converting Exit unwinding into a return
+// value — from the body, or from a signal handler that tail delivers.
 func (s *System) callBody(t *Thread) (status any) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -551,6 +552,7 @@ func (s *System) callBody(t *Thread) (status any) {
 			}
 		}
 	}()
+	s.userReturn(false)
 	return t.fn(t.arg)
 }
 

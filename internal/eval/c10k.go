@@ -357,17 +357,21 @@ func RunC10K(sizes []int, reps int) ([]C10KPoint, error) {
 		{"echo", c10kEcho},
 		{"openloop", c10kOpenLoop},
 	}
-	var pts []C10KPoint
-	for _, sc := range scenarios {
-		for _, n := range sizes {
-			var best C10KPoint
-			for r := 0; r < reps; r++ {
+	// Rep-major: every rep sweeps all scenarios and rungs before the
+	// next begins, so a burst of host load lands on one rep of several
+	// rungs — which the minimum discards — rather than on every rep of
+	// one rung.
+	pts := make([]C10KPoint, len(scenarios)*len(sizes))
+	for r := 0; r < reps; r++ {
+		for i, sc := range scenarios {
+			for j, n := range sizes {
 				pt, err := sc.run(n)
 				if err != nil {
 					return nil, fmt.Errorf("c10k %s at %d threads: %w", sc.name, n, err)
 				}
+				best := &pts[i*len(sizes)+j]
 				if r == 0 {
-					best = pt
+					*best = pt
 					continue
 				}
 				if pt.VUSOp != best.VUSOp {
@@ -379,13 +383,12 @@ func RunC10K(sizes []int, reps int) ([]C10KPoint, error) {
 						sc.name, n, best.P50VUS, pt.P50VUS, best.P99VUS, pt.P99VUS)
 				}
 				if pt.HostNSOp < best.HostNSOp {
-					best = pt
+					*best = pt
 				}
 				if pt.AllocsOp < best.AllocsOp {
 					best.AllocsOp = pt.AllocsOp
 				}
 			}
-			pts = append(pts, best)
 		}
 	}
 	return pts, nil

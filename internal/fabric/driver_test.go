@@ -1,6 +1,7 @@
 package fabric
 
 import (
+	"fmt"
 	"runtime"
 	"strings"
 	"testing"
@@ -49,6 +50,50 @@ func TestFleetGrantStreamPinned(t *testing.T) {
 		t.Fatalf("fleet-echo: %s", msg)
 	}
 	check("fleet-echo", g, "ac1128cafdebae4b", map[string]vtime.Time{"srv": 2370100, "c0": 2288900, "c1": 2414500})
+
+	// The same three hosts with every observer on: spans, rollups, and
+	// watchdogs tight enough that the server pause trips them. The
+	// coordinator's per-host grant counts, worst lag and longest turn
+	// are pinned with the findings, so a grant settled in place must
+	// account exactly as a host that resumes and parks back.
+	cfg, verdict = FleetEchoScenario(2, 256).Make()
+	cfg.Obs = ObsConfig{
+		Spans:           true,
+		Rollup:          true,
+		GrantStarvation: 300 * vtime.Microsecond,
+		LeaseHold:       400 * vtime.Microsecond,
+		WaitCycle:       true,
+	}
+	o, err := New(cfg)
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	err = o.Run()
+	if msg := verdict(o, err); msg != "" {
+		t.Fatalf("fleet-echo with observers: %s", msg)
+	}
+	check("fleet-echo+obs", o, "ac1128cafdebae4b", map[string]vtime.Time{"srv": 2370100, "c0": 2288900, "c1": 2414500})
+	rep := o.ObsReport()
+	var got []string
+	for i, gs := range rep.Grants {
+		got = append(got, fmt.Sprintf("%s grants=%d lag=%d turn=%d", rep.Hosts[i], gs.Grants, int64(gs.MaxLag), int64(gs.MaxTurn)))
+	}
+	for _, fd := range rep.Findings {
+		got = append(got, fmt.Sprintf("%s %s @%d: %s", fd.Kind, fd.Host, int64(fd.At), fd.Detail))
+	}
+	want := []string{
+		"srv grants=22 lag=186000 turn=522000",
+		"c0 grants=20 lag=522000 turn=522000",
+		"c1 grants=19 lag=522000 turn=522000",
+		"lease-hold srv @522000: one turn advanced the host by 522000 (threshold 400000)",
+		"grant-starvation c0 @522000: clock 0 lags fleet max 522000 by 522000 (threshold 300000)",
+		"lease-hold c0 @522000: one turn advanced the host by 522000 (threshold 400000)",
+		"grant-starvation c1 @522000: clock 0 lags fleet max 522000 by 522000 (threshold 300000)",
+		"lease-hold c1 @522000: one turn advanced the host by 522000 (threshold 400000)",
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("fleet-echo+obs report:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
 }
 
 // checkTornDown asserts that a finished fleet left nothing running: no
@@ -190,7 +235,9 @@ func TestShutdownUnwindKeepsAskingForTime(t *testing.T) {
 	}
 }
 
-// countingGov counts a host's asks on the way to its real governor.
+// countingGov counts a host's asks on the way to its real governor:
+// each ask parks the host, and every ask but one unwound at teardown
+// returns at a resume.
 type countingGov struct {
 	vtime.Governor
 	n *int
@@ -201,13 +248,58 @@ func (g countingGov) Grant(now, want vtime.Time) (vtime.Time, vtime.Time) {
 	return g.Governor.Grant(now, want)
 }
 
-// BenchmarkFleetTurn measures one fleet turn: two hosts that only
-// compute leapfrog grants one Delay apart, and each op is one grant —
-// the coordinator's decision, the switch into the host, and the host's
-// park back.
-func BenchmarkFleetTurn(b *testing.B) {
+// TestIdleHostSettlesInPlace: a host idling far ahead while another
+// computes is granted every other turn, and each of those grants falls
+// short of its ask — the coordinator settles them on the parked clock,
+// so the idle host resumes only when its sleep ends.
+func TestIdleHostSettlesInPlace(t *testing.T) {
+	var asks [2]int
+	f, err := New(Config{
+		Hosts: []HostSpec{
+			{Name: "a", Body: func(h *Host) error {
+				for i := 0; i < 200; i++ {
+					h.Sys.Compute(h.f.cfg.Delay)
+				}
+				return nil
+			}},
+			{Name: "b", Body: func(h *Host) error {
+				h.Sys.Sleep(vtime.Second)
+				return nil
+			}},
+		},
+		Drain: []string{"a"},
+		Obs:   ObsConfig{Rollup: true},
+	})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	for i, h := range f.Hosts() {
+		h.Sys.Clock().SetGovernor(countingGov{&hostGov{h: h}, &asks[i]})
+	}
+	if err := f.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	rep := f.ObsReport()
+	var grants int64
+	for _, g := range rep.Grants {
+		grants += g.Grants
+	}
+	if grants != int64(f.grants) {
+		t.Fatalf("ObsReport counts %d grants, the coordinator %d", grants, f.grants)
+	}
+	if b := rep.Grants[1].Grants; b < 50 || asks[1] > 2 {
+		t.Fatalf("idle host b: %d grants, %d asks; want its grants settled in place", b, asks[1])
+	}
+	if resumes := asks[0] + asks[1]; resumes >= int(grants) {
+		t.Fatalf("%d host resumes for %d grants; want fewer resumes", resumes, grants)
+	}
+}
+
+// benchFleetTurns times b.N coordinator grants to a fleet of two hosts:
+// host a computes Delay steps, host b runs body. Grants are counted at
+// the coordinator: a wrapped host governor would count resumes.
+func benchFleetTurns(b *testing.B, body func(h *Host) error) {
 	b.ReportAllocs()
-	grants := 0
 	f, err := New(Config{
 		Hosts: []HostSpec{
 			{Name: "a", Body: func(h *Host) error {
@@ -216,27 +308,43 @@ func BenchmarkFleetTurn(b *testing.B) {
 				// their set-up stays out of ns/op and allocs/op.
 				h.Sys.Compute(d)
 				b.ResetTimer()
-				for grants = 0; grants < b.N; {
+				for start := h.f.grants; h.f.grants-start < b.N; {
 					h.Sys.Compute(d)
 				}
 				b.StopTimer()
 				return nil
 			}},
-			{Name: "b", Body: func(h *Host) error {
-				for {
-					h.Sys.Compute(h.f.cfg.Delay)
-				}
-			}},
+			{Name: "b", Body: body},
 		},
 		Drain: []string{"a"},
 	})
 	if err != nil {
 		b.Fatalf("New: %v", err)
 	}
-	for _, h := range f.Hosts() {
-		h.Sys.Clock().SetGovernor(countingGov{&hostGov{h: h}, &grants})
-	}
 	if err := f.Run(); err != nil {
 		b.Fatalf("Run: %v", err)
 	}
+}
+
+// BenchmarkFleetTurn measures one fleet turn: two hosts that only
+// compute leapfrog grants one Delay apart, and each op is one grant —
+// the coordinator's decision, the switch into the host, and the host's
+// park back.
+func BenchmarkFleetTurn(b *testing.B) {
+	benchFleetTurns(b, func(h *Host) error {
+		for {
+			h.Sys.Compute(h.f.cfg.Delay)
+		}
+	})
+}
+
+// BenchmarkFleetIdleTurn measures a turn that settles in place: host b
+// sleeps far ahead while host a computes, so every grant to b falls
+// short of its ask and settles on its parked clock, and only a's grants
+// resume a host.
+func BenchmarkFleetIdleTurn(b *testing.B) {
+	benchFleetTurns(b, func(h *Host) error {
+		h.Sys.Sleep(vtime.Duration(vtime.Infinity / 2))
+		return nil
+	})
 }

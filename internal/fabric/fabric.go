@@ -35,6 +35,13 @@
 // event is pending anywhere — a fleet-wide deadlock, reported with every
 // blocked thread on every host.
 //
+// A grant that falls short of the host's ask settles on its parked clock
+// (vtime.Clock.Settle): the clock moves to the grant and re-asks in
+// place, as it would on resuming with nothing run, and the coordinator
+// records the re-ask as the host's park. A host resumes only when its
+// ask ends, so most turns of an idle fleet switch no host at all; every
+// turn still makes the full decision, so the grant stream is the same.
+//
 // Fault injection is scripted and deterministic: per-direction link loss
 // (lost data segments redeliver one RTO later), one-way partitions
 // (segments held to the healing instant, or dropped forever), and host
@@ -142,9 +149,11 @@ type Host struct {
 	// Coordinator-side view (touched only while the host is parked or
 	// before it starts). A parked host asked to advance from now to
 	// want; grant and lease are the coordinator's answer, which its
-	// Grant returns when the host resumes.
+	// Grant returns when the host resumes. eff caches the earliest
+	// instant the host can act (see refresh).
 	now, want    vtime.Time
 	grant, lease vtime.Time
+	eff          vtime.Time
 	started      bool
 	done         bool
 	pauses       []HostPause
@@ -162,7 +171,8 @@ func (h *Host) TraceEvents() []core.TraceEvent {
 
 // hostGov adapts the coordinator protocol to vtime.Governor: every ask
 // records the host's park and suspends its System back to the fleet
-// driver, which resumes it with the grant once the turn rule picks it.
+// driver. The driver settles partial grants on the parked clock and
+// resumes the host with the grant that ends its ask.
 type hostGov struct{ h *Host }
 
 func (g *hostGov) Grant(now, want vtime.Time) (vtime.Time, vtime.Time) {
@@ -179,12 +189,13 @@ type Fabric struct {
 	byName map[string]*Host
 	wires  map[[2]int]*wire
 
-	nLive int
-	err   error
-	fp    uint64 // FNV-1a over the grant/done stream
-	flows uint64
-	ran   bool
-	obs   *fleetObs // observability plane; nil when disabled
+	nLive  int
+	err    error
+	fp     uint64 // FNV-1a over the grant/done stream
+	grants int    // coordinator grants so far
+	flows  uint64
+	ran    bool
+	obs    *fleetObs // observability plane; nil when disabled
 }
 
 // New builds a fleet. Host bodies do not start until Run.
@@ -321,12 +332,14 @@ func (f *Fabric) Run() error {
 }
 
 // drive is the fleet driver: the coordinator loop and, in place, every
-// host's System driver loop, all on one goroutine. Each turn resumes the
-// picked host until its governor suspends it (the host parks again) or
-// it completes, so a turn costs two coroutine switches and no trip
-// through the Go scheduler. The teardown is deferred: a thread body's
-// runtime.Goexit, re-raised out of its host's Drive, ends the fleet with
-// that host's diagnosis.
+// host's System driver loop, all on one goroutine. Each turn grants the
+// picked host. A grant that falls short of its ask settles on the parked
+// clock, which re-asks in place with nothing run, so the turn ends
+// without resuming the host; otherwise the host resumes until its
+// governor suspends it (it parks again) or it completes — two coroutine
+// switches and no trip through the Go scheduler. The teardown is
+// deferred: a thread body's runtime.Goexit, re-raised out of its host's
+// Drive, ends the fleet with that host's diagnosis.
 func (f *Fabric) drive() {
 	var cur *Host // the host being resumed
 	defer func() {
@@ -340,6 +353,7 @@ func (f *Fabric) drive() {
 	// instant (the first grant starts the host; its values are not
 	// applied to the clock). Between turns every live host is parked.
 	f.nLive = len(f.hosts)
+	f.refresh()
 	for {
 		e := f.fleetNext()
 		if e == vtime.Infinity {
@@ -353,12 +367,26 @@ func (f *Fabric) drive() {
 		h := f.pick()
 		h.grant, h.lease = f.grantFor(h, e)
 		f.mix(uint64(h.ID), uint64(h.want), uint64(h.grant))
+		f.grants++
 		if f.obs != nil {
 			f.obs.onGrant(f, h, h.grant)
+		}
+		if h.started {
+			if limit, more := h.Sys.Clock().Settle(h.grant, h.lease); more {
+				// The re-ask touches no wheel: only h's view moves.
+				h.now, h.want = h.grant, limit
+				if f.obs != nil {
+					f.obs.onPark(h, h.now)
+				}
+				h.refresh()
+				continue
+			}
 		}
 		cur = h
 		ended := h.resume()
 		cur = nil
+		// The turn may have landed arrivals on any host's wheel.
+		f.refresh()
 		if !ended {
 			if f.obs != nil {
 				f.obs.onPark(h, h.now)
@@ -418,16 +446,26 @@ func (f *Fabric) pick() *Host {
 	return best
 }
 
-// eff is the earliest instant host h can possibly act: the target of its
-// parked ask, lowered by any event already scheduled on its wheel
-// (including arrivals other hosts landed after it parked — the parked
-// ask cannot know about those). Safe to call only while h is parked.
-func (h *Host) eff() vtime.Time {
-	w := h.want
-	if at, ok := h.Sys.Clock().NextExpiry(); ok && at < w {
-		w = at
+// refresh caches in h.eff the earliest instant host h can possibly act:
+// the target of its parked ask, lowered by any event already scheduled
+// on its wheel (including arrivals other hosts landed after it parked —
+// the parked ask cannot know about those). Only a host's own turn moves
+// its ask, and only a resumed host lands arrivals, so the cache holds
+// between those. Safe to call only while h is parked.
+func (h *Host) refresh() {
+	h.eff = h.want
+	if at, ok := h.Sys.Clock().NextExpiry(); ok && at < h.eff {
+		h.eff = at
 	}
-	return w
+}
+
+// refresh re-caches every live host's eff.
+func (f *Fabric) refresh() {
+	for _, h := range f.hosts {
+		if !h.done {
+			h.refresh()
+		}
+	}
 }
 
 // fleetNext returns E, the earliest instant anything can happen anywhere
@@ -436,11 +474,8 @@ func (h *Host) eff() vtime.Time {
 func (f *Fabric) fleetNext() vtime.Time {
 	e := vtime.Infinity
 	for _, h := range f.hosts {
-		if h.done {
-			continue
-		}
-		if w := h.eff(); w < e {
-			e = w
+		if !h.done && h.eff < e {
+			e = h.eff
 		}
 	}
 	return e

@@ -263,7 +263,7 @@ func (o *fleetObs) checkWaitCycle(f *Fabric) {
 	}
 	var mask uint64
 	for _, h := range f.hosts {
-		if !h.done && h.ID < 64 && h.eff() == vtime.Infinity {
+		if !h.done && h.ID < 64 && h.eff == vtime.Infinity {
 			mask |= 1 << uint(h.ID)
 		}
 	}

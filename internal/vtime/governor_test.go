@@ -2,21 +2,37 @@ package vtime
 
 import "testing"
 
-// scriptGov grants from a scripted list of (grant, lease) pairs.
+// scriptGov grants from a scripted list of (grant, lease) pairs. Like
+// the fabric, it settles a partial grant on the parked clock and returns
+// only the grant that ends the ask; calls records every ask, re-asks
+// included.
 type scriptGov struct {
 	t      *testing.T
+	c      *Clock
 	grants []struct{ grant, lease Time }
 	calls  []struct{ now, want Time }
 }
 
+func newScriptGov(t *testing.T, c *Clock) *scriptGov {
+	g := &scriptGov{t: t, c: c}
+	c.SetGovernor(g)
+	return g
+}
+
 func (g *scriptGov) Grant(now, want Time) (Time, Time) {
-	g.calls = append(g.calls, struct{ now, want Time }{now, want})
-	if len(g.grants) == 0 {
-		g.t.Fatalf("unexpected Grant(now=%v, want=%v)", now, want)
+	for {
+		g.calls = append(g.calls, struct{ now, want Time }{now, want})
+		if len(g.grants) == 0 {
+			g.t.Fatalf("unexpected Grant(now=%v, want=%v)", now, want)
+		}
+		gr := g.grants[0]
+		g.grants = g.grants[1:]
+		limit, more := g.c.Settle(gr.grant, gr.lease)
+		if !more {
+			return gr.grant, gr.lease
+		}
+		now, want = gr.grant, limit
 	}
-	gr := g.grants[0]
-	g.grants = g.grants[1:]
-	return gr.grant, gr.lease
 }
 
 // freeGov grants everything asked, with an infinite lease.
@@ -69,12 +85,12 @@ func TestGovernorLeaseFreeRun(t *testing.T) {
 	}
 }
 
-// TestGovernorPartialGrant: a partial grant loops, and a truncatable
-// advance stops early at an event another host landed mid-park.
+// TestGovernorPartialGrant: a partial grant settles on the parked clock,
+// which re-asks, and a truncatable advance stops early at an event
+// another host landed mid-park.
 func TestGovernorPartialGrant(t *testing.T) {
 	c := NewClock()
-	g := &scriptGov{t: t}
-	c.SetGovernor(g)
+	g := newScriptGov(t, c)
 	// First grant: partial to 40 with lease 40. While "parked", an event
 	// lands at 60 (simulated by scheduling before the second call).
 	g.grants = append(g.grants,
@@ -100,8 +116,7 @@ func TestGovernorPartialGrant(t *testing.T) {
 // a timer expiry — it asks straight to its target.
 func TestGovernorChargeIgnoresTimers(t *testing.T) {
 	c := NewClock()
-	g := &scriptGov{t: t}
-	c.SetGovernor(g)
+	g := newScriptGov(t, c)
 	g.grants = append(g.grants, struct{ grant, lease Time }{100, 200})
 	c.ScheduleAt(50, "mid-charge")
 	c.Advance(100)
@@ -120,8 +135,7 @@ func TestGovernorChargeIgnoresTimers(t *testing.T) {
 // carries the clock past the target; Step reports the inflated advance.
 func TestGovernorPauseJump(t *testing.T) {
 	c := NewClock()
-	g := &scriptGov{t: t}
-	c.SetGovernor(g)
+	g := newScriptGov(t, c)
 	g.grants = append(g.grants, struct{ grant, lease Time }{500, 500})
 	adv, due := c.Step(100)
 	if c.Now() != 500 {
@@ -152,4 +166,71 @@ func TestGovernorStepDue(t *testing.T) {
 	if adv != 0 || !due {
 		t.Fatalf("Step = (%v, %v), want (0, true)", adv, due)
 	}
+}
+
+// TestGovernorSettleCharge: a partial grant to a charge re-asks for the
+// charge's target while the lease falls short of it; once a grant's
+// lease covers the target, the charge ends there without asking again.
+func TestGovernorSettleCharge(t *testing.T) {
+	c := NewClock()
+	g := newScriptGov(t, c)
+	g.grants = append(g.grants,
+		struct{ grant, lease Time }{40, 60},
+		struct{ grant, lease Time }{70, 120},
+	)
+	c.ScheduleAt(50, "mid-charge")
+	c.Advance(100)
+	if c.Now() != 100 || c.lease != 120 {
+		t.Fatalf("now = %v, lease = %v; want 100, 120", c.Now(), c.lease)
+	}
+	want := []struct{ now, want Time }{{0, 100}, {40, 100}}
+	if len(g.calls) != len(want) || g.calls[0] != want[0] || g.calls[1] != want[1] {
+		t.Fatalf("asks = %v, want %v", g.calls, want)
+	}
+}
+
+// endGov checks that Settle leaves a parked clock untouched when the
+// grant ends its ask, then returns that grant.
+type endGov struct {
+	t *testing.T
+	c *Clock
+}
+
+func (g *endGov) Grant(now, want Time) (Time, Time) {
+	if _, more := g.c.Settle(want, want+10); more {
+		g.t.Fatalf("grant %v does not end the ask for %v", want, want)
+	}
+	if g.c.Now() != now || g.c.lease != now {
+		g.t.Fatalf("an ending Settle moved the clock: now %v, lease %v", g.c.Now(), g.c.lease)
+	}
+	return want, want + 10
+}
+
+// TestGovernorSettleEnds: an ending grant is applied once, by the clock
+// as Grant returns it.
+func TestGovernorSettleEnds(t *testing.T) {
+	c := NewClock()
+	c.SetGovernor(&endGov{t: t, c: c})
+	adv, due := c.Step(30)
+	if adv != 30 || due || c.Now() != 30 || c.lease != 40 {
+		t.Fatalf("Step = (%v, %v) to %v under %v; want (30, false) to 30 under 40", adv, due, c.Now(), c.lease)
+	}
+}
+
+// partialGov returns a partial grant from Grant, breaking the contract.
+type partialGov struct{}
+
+func (partialGov) Grant(now, want Time) (Time, Time) { return now + 1, now + 1 }
+
+// TestGovernorPartialReturnPanics: a governor must settle a partial
+// grant on the parked clock, not return it.
+func TestGovernorPartialReturnPanics(t *testing.T) {
+	c := NewClock()
+	c.SetGovernor(partialGov{})
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a returned partial grant must panic")
+		}
+	}()
+	c.Advance(10)
 }

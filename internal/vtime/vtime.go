@@ -210,9 +210,11 @@ type Clock struct {
 
 	// gov, when non-nil, arbitrates multi-host advancement (see
 	// governor.go); lease is the frontier below which this clock may
-	// advance without asking it. Both are dormant in single-host runs.
+	// advance without asking it, and ask the advance that last asked.
+	// All are dormant in single-host runs.
 	gov   Governor
 	lease Time
+	ask   govAsk
 
 	// free is the timerEntry free list (next-linked). Entries are
 	// recycled the moment they leave the queue — fired via PopDue or
@@ -602,7 +604,7 @@ func (c *Clock) AdvanceTo(t Time) {
 		panic(fmt.Sprintf("vtime: clock moved backwards: %v -> %v", c.now, t))
 	}
 	if c.gov != nil && t > c.lease {
-		c.advanceToGov(t)
+		c.govern(t, true)
 		return
 	}
 	c.now = t
@@ -615,7 +617,7 @@ func (c *Clock) Advance(d Duration) {
 	}
 	t := c.now.Add(d)
 	if c.gov != nil && t > c.lease {
-		c.advanceGov(t)
+		c.govern(t, false)
 		return
 	}
 	c.now = t
@@ -630,10 +632,12 @@ func (c *Clock) Step(d Duration) (advanced Duration, due bool) {
 	if d < 0 {
 		panic("vtime: negative step")
 	}
-	if c.gov != nil && c.now.Add(d) > c.lease {
-		return c.stepGov(d)
-	}
 	target := c.now.Add(d)
+	if c.gov != nil && target > c.lease {
+		start := c.now
+		due = c.govern(target, true)
+		return c.now.Sub(start), due
+	}
 	if at, ok := c.NextExpiry(); ok && at <= target {
 		if at < c.now {
 			// Timer already overdue: do not move, report due.
