@@ -14,6 +14,8 @@
 package pthreads_test
 
 import (
+	"runtime"
+	rtmetrics "runtime/metrics"
 	"testing"
 
 	"pthreads"
@@ -29,6 +31,15 @@ func reportVirtual(b *testing.B, s *pthreads.System, from pthreads.Time, n int) 
 		n = 1
 	}
 	b.ReportMetric(s.Now().Sub(from).Micros()/float64(n), "vus/op")
+}
+
+// liveHeap returns the bytes the runtime finds live after a forced
+// collection.
+func liveHeap() uint64 {
+	runtime.GC()
+	sample := []rtmetrics.Sample{{Name: "/gc/heap/live:bytes"}}
+	rtmetrics.Read(sample)
+	return sample[0].Value.Uint64()
 }
 
 // BenchmarkKernelEnterExit is Table 2 row 1: the null library call.
@@ -674,9 +685,10 @@ func BenchmarkC10KEchoSpans(b *testing.B) {
 }
 
 // BenchmarkC100KEcho is the same round trip beside 100,000 parked
-// readers. Steady state must stay at 0 allocs/op: the wait-queue
+// readers. Steady state must stay at 0 allocs/op: the wait-list
 // shards, descriptor table, and timer wheel are all preallocated or
-// pooled, so population adds memory but no per-op work.
+// pooled, so population adds memory but no per-op work. The memory is
+// reported as B/parked, the live-heap growth per parked reader.
 func BenchmarkC100KEcho(b *testing.B) {
 	benchEchoParked(b, 100000, false)
 }
@@ -731,6 +743,7 @@ func benchEchoParked(b *testing.B, parked int, spans bool) {
 		pattr.Priority = s.Self().Priority() + 1
 		held := make([]*pthreads.Conn, 0, parked)
 		parkers := make([]*pthreads.Thread, 0, parked)
+		heap0 := liveHeap()
 		for i := 0; i < parked; i++ {
 			th, err := s.CreateCont(pattr, func(k *pthreads.Cont) {
 				c, err := x.Dial("park")
@@ -751,6 +764,9 @@ func benchEchoParked(b *testing.B, parked int, spans bool) {
 			}
 			held = append(held, sc)
 		}
+		// Resident footprint: live-heap growth per parked reader (its
+		// TCB, continuation, sockets and wait-list slot).
+		perParked := float64(liveHeap()-heap0) / float64(parked)
 
 		c, err := x.Dial("echo")
 		if err != nil {
@@ -774,6 +790,7 @@ func benchEchoParked(b *testing.B, parked int, spans bool) {
 		}
 		b.StopTimer()
 		reportVirtual(b, s, v0, b.N)
+		b.ReportMetric(perParked, "B/parked")
 		c.Close()
 		s.Join(server)
 		for _, sc := range held {

@@ -3,13 +3,12 @@ package core
 import (
 	"strconv"
 
-	"pthreads/internal/sched"
 	"pthreads/internal/unixkern"
 	"pthreads/internal/vtime"
 )
 
 // This file is the library half of the blocking-I/O jacket layer: the
-// per-descriptor wait queues and the FDBlockingCall primitive that turns
+// per-descriptor wait lists and the FDBlockingCall primitive that turns
 // a non-blocking descriptor operation into a per-thread blocking call.
 //
 // The paper keeps one thread's blocking UNIX call from stopping the whole
@@ -19,13 +18,13 @@ import (
 // around each blocking syscall. Here the two meet: the socket layer
 // (internal/net) exposes non-blocking try-operations and announces
 // readiness through SIGIO completions carrying descriptor sets; this file
-// parks threads on priority-ordered per-(fd, direction) queues and wakes
+// parks threads on priority-ordered per-(fd, direction) lists and wakes
 // them from those completions. A blocked jacket call is interrupted with
 // EINTR by a handled signal (via a fake call) and is an interruption
 // point for cancellation, per the paper's SIGCANCEL rules.
 
 // FDDir selects the direction of a descriptor wait.
-type FDDir int
+type FDDir uint8
 
 const (
 	// FDRead waits for the descriptor to become readable (data, EOF,
@@ -44,21 +43,28 @@ func (d FDDir) String() string {
 	return "write"
 }
 
-// fdKey identifies one wait queue (trace-label interning only; the wait
-// queues themselves live in the fd-hashed shards below).
+// fdKey identifies one wait list (trace-label interning only; the wait
+// lists themselves live in the fd-hashed shards below).
 type fdKey struct {
 	fd  unixkern.FD
 	dir FDDir
 }
 
-// The wait queues are sharded by descriptor hash: shard index is the low
+// The wait lists are sharded by descriptor hash: shard index is the low
 // six bits of the fd, and within a shard the remaining bits index a dense
-// slice of per-descriptor {read, write} queue pointers. Parking and
-// waking a waiter therefore touch two array slots — no global map insert
-// or delete on the hot path, and no rehashing as the descriptor
-// population grows to 100k and beyond. Queues themselves stay pooled:
-// a slot holds nil until a waiter arrives and gives its queue back to
-// fdPool when the last waiter leaves.
+// slice of per-descriptor {read, write} list heads. Parking and waking a
+// waiter therefore touch two array slots — no global map insert or
+// delete on the hot path, and no rehashing as the descriptor population
+// grows to 100k and beyond.
+//
+// A list is intrusive, as the paper's wait lists are: the waiters' own
+// TCBs are linked through fdNext/fdPrev, so a waited-on descriptor costs
+// its 8-byte slot and nothing else. The head waiter's fdPrev is the tail
+// and its fdDepth the list length. Each waiter records in fdLevel the
+// priority it was queued at, and insertion walks back from the tail past
+// lower levels, so the list keeps the order of every other wait queue in
+// the library: highest level first, FIFO within a level. With equal
+// priorities the walk stops at the tail at once; unlinking is O(1).
 const (
 	fdwShardBits  = 6
 	fdwShardCount = 1 << fdwShardBits
@@ -66,40 +72,83 @@ const (
 )
 
 type fdwShard struct {
-	slots [][2]*sched.Queue[*Thread] // indexed by fd >> fdwShardBits
+	slots [][2]*Thread // list heads, indexed by fd >> fdwShardBits
 }
 
-// fdQueue returns the wait queue for (fd, dir), or nil if no waiter ever
-// parked there (or all its queues were recycled).
-func (s *System) fdQueue(fd unixkern.FD, dir FDDir) *sched.Queue[*Thread] {
+// fdFind returns the list-head slot of (fd, dir), or nil if no waiter
+// ever parked on a descriptor of its shard row. The pointer is valid
+// until the shard's table next grows, so callers use it at once.
+func (s *System) fdFind(fd unixkern.FD, dir FDDir) **Thread {
 	sh := &s.fdShards[int(fd)&fdwShardMask]
 	idx := int(fd) >> fdwShardBits
 	if idx >= len(sh.slots) {
 		return nil
 	}
-	return sh.slots[idx][dir]
+	return &sh.slots[idx][dir]
 }
 
-// fdQueueEnsure returns the wait queue for (fd, dir), installing a pooled
-// queue in the shard slot on first use.
-func (s *System) fdQueueEnsure(fd unixkern.FD, dir FDDir) *sched.Queue[*Thread] {
+// fdSlot is fdFind that grows the shard's dense table on first use.
+func (s *System) fdSlot(fd unixkern.FD, dir FDDir) **Thread {
 	sh := &s.fdShards[int(fd)&fdwShardMask]
 	idx := int(fd) >> fdwShardBits
 	for idx >= len(sh.slots) {
-		sh.slots = append(sh.slots, [2]*sched.Queue[*Thread]{})
+		sh.slots = append(sh.slots, [2]*Thread{})
 	}
-	q := sh.slots[idx][dir]
-	if q == nil {
-		if n := len(s.fdPool); n > 0 {
-			q = s.fdPool[n-1]
-			s.fdPool[n-1] = nil
-			s.fdPool = s.fdPool[:n-1]
+	return &sh.slots[idx][dir]
+}
+
+// fdPush links t into the list headed at *head, behind every waiter
+// queued at level or above.
+func fdPush(head **Thread, t *Thread, level int) {
+	t.fdLevel = int8(level)
+	h := *head
+	if h == nil {
+		t.fdNext, t.fdPrev, t.fdDepth = nil, t, 1
+		*head = t
+		return
+	}
+	p := h.fdPrev // the tail
+	for p != nil && int(p.fdLevel) < level {
+		if p == h {
+			p = nil
 		} else {
-			q = new(sched.Queue[*Thread])
+			p = p.fdPrev
 		}
-		sh.slots[idx][dir] = q
 	}
-	return q
+	if p == nil { // t outranks every waiter: it becomes the head
+		t.fdNext, t.fdPrev, t.fdDepth = h, h.fdPrev, h.fdDepth+1
+		h.fdPrev, h.fdDepth = t, 0
+		*head = t
+		return
+	}
+	t.fdNext, t.fdPrev = p.fdNext, p
+	if p.fdNext != nil {
+		p.fdNext.fdPrev = t
+	} else {
+		h.fdPrev = t
+	}
+	p.fdNext = t
+	h.fdDepth++
+}
+
+// fdUnlink takes t off the list headed at *head.
+func fdUnlink(head **Thread, t *Thread) {
+	h := *head
+	if t == h {
+		if n := t.fdNext; n != nil {
+			n.fdPrev, n.fdDepth = t.fdPrev, t.fdDepth-1
+		}
+		*head = t.fdNext
+	} else {
+		t.fdPrev.fdNext = t.fdNext
+		if t.fdNext != nil {
+			t.fdNext.fdPrev = t.fdPrev
+		} else {
+			h.fdPrev = t.fdPrev
+		}
+		h.fdDepth--
+	}
+	t.fdNext, t.fdPrev, t.fdDepth = nil, nil, 0
 }
 
 // fdWaitTag is the timer datum of a timed descriptor wait; like
@@ -109,7 +158,7 @@ type fdWaitTag struct {
 	t *Thread
 }
 
-// fdLabel returns the interned queue label for traces ("fd3/read").
+// fdLabel returns the interned wait-list label for traces ("fd3/read").
 // Call sites guard on the tracer, so when tracing is off neither the
 // formatting nor the cache is ever touched; with tracing on, each
 // (fd, dir) pair is formatted exactly once.
@@ -128,7 +177,7 @@ func (s *System) fdLabel(fd unixkern.FD, dir FDDir) string {
 
 // FDBlockingCall is the jacket primitive: it runs attempt inside the
 // library kernel and, while the operation would block, suspends the
-// calling thread on the (fd, dir) wait queue until a SIGIO completion
+// calling thread on the (fd, dir) wait list until a SIGIO completion
 // designates it. attempt reports done=true when the operation completed
 // (the call returns nil) and more=true when residual readiness remains —
 // the next waiter is then designated immediately, so a single completion
@@ -290,90 +339,62 @@ func (s *System) fdWake(t *Thread, w *waitState) (retry bool, err error) {
 	}
 }
 
-// fdEnqueue parks a thread on the (fd, dir) wait queue, priority-ordered
+// fdEnqueue parks a thread on the (fd, dir) wait list, priority-ordered
 // like every other wait queue in the library. Runs in the kernel.
 func (s *System) fdEnqueue(fd unixkern.FD, dir FDDir, t *Thread) {
-	q := s.fdQueueEnsure(fd, dir)
+	head := s.fdSlot(fd, dir)
 	s.cpu.ChargeInstr(instrReadyQueueOp)
-	q.Enqueue(t, t.prio)
+	fdPush(head, t, t.prio)
 	t.waitFD, t.waitFDDir, t.fdWaiting = fd, dir, true
-	if d := int64(q.Len()); d > s.stats.FDMaxWaitDepth {
+	if d := int64((*head).fdDepth); d > s.stats.FDMaxWaitDepth {
 		s.stats.FDMaxWaitDepth = d
 	}
 }
 
 // fdWakeTop designates the highest-priority waiter on (fd, dir): it is
-// dequeued and made ready with wake cause wakeIO. Wake-one is the policy;
+// unlinked and made ready with wake cause wakeIO. Wake-one is the policy;
 // residual readiness propagates by chaining (FDBlockingCall's more flag),
 // so no completion is ever fanned out to waiters that would find nothing.
 // Runs in the kernel.
 func (s *System) fdWakeTop(fd unixkern.FD, dir FDDir, why string) {
-	q := s.fdQueue(fd, dir)
-	if q == nil {
-		return
+	if head := s.fdFind(fd, dir); head != nil && *head != nil {
+		s.fdDesignate(head, why)
 	}
-	t, _, ok := q.DequeueMax()
-	if !ok {
-		return
-	}
-	s.cpu.ChargeInstr(instrReadyQueueOp)
-	t.fdWaiting = false
-	t.wake = wakeIO
-	s.stats.FDWakeups++
-	if s.tracer != nil {
-		s.traceObj(EvIO, t, s.fdLabel(fd, dir), "wake", why)
-	}
-	s.makeReady(t, false)
-	s.fdRecycle(fd, dir, q)
 }
 
 // fdWakeAll designates every waiter on (fd, dir), highest priority first.
 // Used for wake-all completions (shared device descriptors) and close.
 func (s *System) fdWakeAll(fd unixkern.FD, dir FDDir, why string) {
-	q := s.fdQueue(fd, dir)
-	if q == nil {
-		return
+	head := s.fdFind(fd, dir)
+	for head != nil && *head != nil {
+		s.fdDesignate(head, why)
 	}
-	for {
-		t, _, ok := q.DequeueMax()
-		if !ok {
-			break
-		}
-		s.cpu.ChargeInstr(instrReadyQueueOp)
-		t.fdWaiting = false
-		t.wake = wakeIO
-		s.stats.FDWakeups++
-		if s.tracer != nil {
-			s.traceObj(EvIO, t, s.fdLabel(fd, dir), "wake", why)
-		}
-		s.makeReady(t, false)
-	}
-	s.fdRecycle(fd, dir, q)
 }
 
-// fdRemoveWaiter takes a still-queued thread off its wait queue (cancel,
+// fdDesignate unlinks the head waiter of a non-empty list and makes it
+// ready with wake cause wakeIO.
+func (s *System) fdDesignate(head **Thread, why string) {
+	t := *head
+	fdUnlink(head, t)
+	s.cpu.ChargeInstr(instrReadyQueueOp)
+	t.fdWaiting = false
+	t.wake = wakeIO
+	s.stats.FDWakeups++
+	if s.tracer != nil {
+		s.traceObj(EvIO, t, s.fdLabel(t.waitFD, t.waitFDDir), "wake", why)
+	}
+	s.makeReady(t, false)
+}
+
+// fdRemoveWaiter takes a still-queued thread off its wait list (cancel,
 // EINTR, timeout). A queued thread was never designated, so no readiness
 // is lost and no chain wake is needed. Runs in the kernel.
 func (s *System) fdRemoveWaiter(t *Thread) {
 	if !t.fdWaiting {
 		return
 	}
-	if q := s.fdQueue(t.waitFD, t.waitFDDir); q != nil {
-		if !q.Remove(t, t.prio) {
-			q.RemoveAny(t)
-		}
-		s.fdRecycle(t.waitFD, t.waitFDDir, q)
-	}
+	fdUnlink(s.fdSlot(t.waitFD, t.waitFDDir), t)
 	t.fdWaiting = false
-}
-
-// fdRecycle returns an emptied queue to the pool and clears its shard
-// slot.
-func (s *System) fdRecycle(fd unixkern.FD, dir FDDir, q *sched.Queue[*Thread]) {
-	if q.Len() == 0 {
-		s.fdShards[int(fd)&fdwShardMask].slots[int(fd)>>fdwShardBits][dir] = nil
-		s.fdPool = append(s.fdPool, q)
-	}
 }
 
 // fdCompletion is recipient rule 4 in per-descriptor form: a SIGIO whose
@@ -415,8 +436,8 @@ func (s *System) FDKickAll(fd unixkern.FD) {
 // FDWaitDepth reports how many threads wait on (fd, dir) right now.
 // Bare accessor (see introspect.go): thread context or post-Run only.
 func (s *System) FDWaitDepth(fd unixkern.FD, dir FDDir) int {
-	if q := s.fdQueue(fd, dir); q != nil {
-		return q.Len()
+	if head := s.fdFind(fd, dir); head != nil && *head != nil {
+		return int((*head).fdDepth)
 	}
 	return 0
 }

@@ -9,7 +9,7 @@ import (
 )
 
 // Regression coverage for setPriority's interaction with the sharded
-// per-(fd, dir) wait queues: a re-prioritized thread parked on a
+// per-(fd, dir) wait lists: a re-prioritized thread parked on a
 // descriptor wait must move within its own queue (never surface in a
 // different shard's dense table), completions must honor the *updated*
 // priority order, chain wakes must designate each waiter exactly once,
@@ -186,15 +186,21 @@ func TestFDWaitRequeueCrossShardCollisions(t *testing.T) {
 				t.Errorf("fd %d: completion order %v, want [%d]", colliding[i], box.order, i)
 			}
 		}
-		// No stale dense-table entries anywhere: every emptied queue was
-		// recycled, so every shard slot must be nil again.
+		// No stale dense-table entries anywhere: every emptied list
+		// cleared its head, so every shard slot must be nil again, and
+		// no woken TCB may still link into a list.
 		for si := range s.fdShards {
 			for ri, row := range s.fdShards[si].slots {
-				for dir, q := range row {
-					if q != nil {
-						t.Errorf("shard %d row %d dir %d: stale queue (len %d) after drain", si, ri, dir, q.Len())
+				for dir, head := range row {
+					if head != nil {
+						t.Errorf("shard %d row %d dir %d: stale head %v (depth %d) after drain", si, ri, dir, head, head.fdDepth)
 					}
 				}
+			}
+		}
+		for i, th := range ths {
+			if th.fdNext != nil || th.fdPrev != nil {
+				t.Errorf("waiter %d: stale links next=%v prev=%v after wake", i, th.fdNext, th.fdPrev)
 			}
 		}
 	})
@@ -298,5 +304,67 @@ func TestFDWaitRequeueThenTimeout(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
+	}
+}
+
+// TestFDWaitRequeueHeadMiddleTail re-prioritizes the head, the middle
+// and the tail of a 3-deep equal-priority list. A requeued waiter joins
+// the tail of its new level, so moving one up puts it first, and moving
+// one down and back puts it behind the waiters that never left the
+// level: FIFO within a level counts from the latest enqueue.
+func TestFDWaitRequeueHeadMiddleTail(t *testing.T) {
+	type move struct{ idx, prio int }
+	cases := []struct {
+		name  string
+		moves []move
+		want  []int
+	}{
+		{"head up", []move{{0, 22}}, []int{0, 1, 2}},
+		{"head down and back", []move{{0, 18}, {0, 20}}, []int{1, 2, 0}},
+		{"middle up", []move{{1, 22}}, []int{1, 0, 2}},
+		{"middle down and back", []move{{1, 18}, {1, 20}}, []int{0, 2, 1}},
+		{"tail up", []move{{2, 22}}, []int{2, 0, 1}},
+		{"tail down and back", []move{{2, 18}, {2, 20}}, []int{0, 1, 2}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s := New(Config{})
+			err := s.Run(func() {
+				fd := s.Process().AllocFD(nil)
+				box := &fdTokenBox{}
+				ths := make([]*Thread, 3)
+				for i := range ths {
+					ths[i] = s.fdParkWorker(t, fd, i, 20, box)
+				}
+				for s.Stats().FDWaits < 3 {
+					s.Yield()
+				}
+				for _, m := range tc.moves {
+					if err := s.SetSchedParam(ths[m.idx], SchedFIFO, m.prio); err != nil {
+						t.Errorf("SetSchedParam(%d, %d): %v", m.idx, m.prio, err)
+					}
+					if d := s.FDWaitDepth(fd, FDRead); d != 3 {
+						t.Errorf("wait depth after moving %d to %d = %d, want 3", m.idx, m.prio, d)
+					}
+				}
+				src := &scaleSource{ready: make([]unixkern.IOReady, 0, 1)}
+				for i := 0; i < 3; i++ {
+					box.tokens++
+					wakeOne(s, src, fd, false)
+					if d := s.FDWaitDepth(fd, FDRead); d != 2-i {
+						t.Errorf("wait depth after wake %d = %d, want %d", i+1, d, 2-i)
+					}
+				}
+				for _, th := range ths {
+					s.Join(th)
+				}
+				if len(box.order) != 3 || box.order[0] != tc.want[0] || box.order[1] != tc.want[1] || box.order[2] != tc.want[2] {
+					t.Errorf("wake order %v, want %v", box.order, tc.want)
+				}
+			})
+			if err != nil {
+				t.Fatalf("Run: %v", err)
+			}
+		})
 	}
 }

@@ -458,12 +458,9 @@ func (s *System) setPriority(t *Thread, newPrio int, atHead bool) {
 			t.waitingCond.waiters.Enqueue(t, newPrio)
 		}
 		if t.fdWaiting {
-			if q := s.fdQueue(t.waitFD, t.waitFDDir); q != nil {
-				if !q.Remove(t, old) {
-					q.RemoveAny(t)
-				}
-				q.Enqueue(t, newPrio)
-			}
+			head := s.fdSlot(t.waitFD, t.waitFDDir)
+			fdUnlink(head, t)
+			fdPush(head, t, newPrio)
 		}
 	default:
 		t.prio = newPrio

@@ -185,14 +185,13 @@ type System struct {
 	sigactions     [unixkern.NSIGAll]sigactionRec
 	processPending [unixkern.NSIGAll]*unixkern.SigInfo
 
-	// Per-descriptor wait queues of the blocking-I/O jackets, sharded by
+	// Per-descriptor wait lists of the blocking-I/O jackets, sharded by
 	// fd hash (see fdwait.go): each shard holds a dense slice of per-fd
-	// read/write queue pointers, so the hot park/wake path indexes two
-	// arrays instead of hashing into one global map. Emptied queues are
-	// recycled through fdPool.
+	// read/write list heads, so the hot park/wake path indexes two arrays
+	// instead of hashing into one global map. The lists are linked
+	// through the waiters' TCBs, so a slot is all a descriptor costs.
 	fdShards [fdwShardCount]fdwShard
-	fdPool   []*sched.Queue[*Thread]
-	// fdNames interns the per-queue trace labels ("fd3/read"), so a
+	// fdNames interns the per-list trace labels ("fd3/read"), so a
 	// traced I/O workload formats each label once instead of per event.
 	fdNames map[fdKey]string
 

@@ -212,6 +212,13 @@ type Thread struct {
 
 	detached bool
 	lazy     bool
+	// One-byte descriptor-wait fields, kept here in the padding after
+	// the flags above (see the descriptor wait block below): the list's
+	// direction, the priority level the thread was queued at, and
+	// whether it is queued at all.
+	waitFDDir FDDir
+	fdLevel   int8
+	fdWaiting bool
 
 	// Execution context (see ctx.go): a goroutine-backed thread holds
 	// one from first dispatch until it exits; a continuation thread
@@ -268,10 +275,13 @@ type Thread struct {
 	waitTimer vtime.TimerID
 	aioID     unixkern.AioID
 
-	// Descriptor wait (BlockFD): which per-fd queue the thread sits on.
-	waitFD    unixkern.FD
-	waitFDDir FDDir
-	fdWaiting bool
+	// Descriptor wait (BlockFD): the thread's links in the per-(fd, dir)
+	// wait list it sits on (see fdwait.go), the descriptor, and — while
+	// the thread heads the list — the list's length.
+	fdNext  *Thread
+	fdPrev  *Thread
+	waitFD  unixkern.FD
+	fdDepth int32
 	// fdTag is the thread's reusable timer datum for timed descriptor
 	// waits: a thread has at most one outstanding fd-wait timer, so the
 	// tag never needs to be allocated per iteration.

@@ -120,7 +120,7 @@ awk '
 
 # Steady-state allocation gate on the echo ladder's endpoints: the
 # round trip beside 10,000 and beside 100,000 parked readers must both
-# report 0 allocs/op — the wait-queue shards, descriptor table, timer
+# report 0 allocs/op — the wait-list shards, descriptor table, timer
 # wheel, and batched completions are all preallocated or pooled.
 go test -run '^$' -bench 'C10KEcho$|C100KEcho$' -benchmem -benchtime 200x . > "$t/echobench.txt"
 cat "$t/echobench.txt"
@@ -130,6 +130,24 @@ awk '
       printf "alloc gate: %s reports %s allocs/op (want 0)\n", $1, $(NF-1) } }
   END { if (found < 2) { bad = 1; print "alloc gate: expected both echo benchmarks" }
     exit bad }' "$t/echobench.txt"
+
+# Resident-footprint gate on the same run: each of the 100,000 parked
+# readers may add at most 1200 B of live heap (B/parked: its TCB,
+# continuation, socket pair and share of the wait-list slots). The
+# waiters link through their TCBs, so a waited-on descriptor costs an
+# 8-byte slot; a per-descriptor priority queue put this at ~2.4 KB.
+awk '
+  /^BenchmarkC100KEcho/ { for (i = 3; i < NF; i++) if ($(i+1) == "B/parked") { found = 1
+      if ($i + 0 > 1200) { bad = 1
+        printf "footprint gate: %s adds %s B/parked (bound 1200)\n", $1, $i } } }
+  END { if (!found) { bad = 1; print "footprint gate: BenchmarkC100KEcho reports no B/parked" }
+    exit bad }' "$t/echobench.txt"
+
+# Descriptor wait-list fuzz smoke: the intrusive list must agree with
+# the sched.Queue oracle on order, depth and peak depth over 10 s of
+# generated park/wake/unlink/requeue sequences. Minimizing each new
+# corpus entry is capped at 100 runs, so the time goes to the search.
+go test -run '^$' -fuzz FuzzFDWaitList -fuzztime 10s -fuzzminimizetime 100x ./internal/core/
 
 # Fleet-turn allocation gate: a grant to one host and its park back are
 # two coroutine switches over preallocated coordinator state, and a
